@@ -1,6 +1,6 @@
 """Back-compat import path for the capture machinery.
 
-The capture primitives (:class:`CaptureBackend`, the shadow-window
+The capture primitives (:class:`CaptureBackend`, the full-history
 policy replay, the :class:`ProgramTrace` event records) moved to
 :mod:`repro.core.capture` when graph replay (:mod:`repro.core.replay`)
 started sharing them — ``core`` cannot depend on ``analysis``. This
@@ -21,7 +21,6 @@ from repro.core.capture import (
     capture_session,
     policy_dep_seqs,
 )
-from repro.core.capture import _ShadowWindow  # noqa: F401  (checker/tests)
 from repro.core.sites import user_site as _user_site  # noqa: F401
 
 __all__ = [

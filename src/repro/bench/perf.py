@@ -10,11 +10,12 @@ fixed schema ``{bench, metric, value, unit, n, backend}`` (the
 Benches:
 
 * ``enqueue_scan`` — :meth:`StreamWindow.deps_for` latency and scan
-  counters vs in-flight window depth (10/100/1k/5k), for the conflict-
-  indexed :class:`~repro.core.dependences.RelaxedPolicy` **and** the
-  pre-index :class:`~repro.core.dependences.NaiveRelaxedPolicy`, on a
-  per-action-buffer (``disjoint``) and a shared-buffer workload. The
-  indexed-vs-naive pair is the before/after axis.
+  counters vs in-flight window depth (10/100/1k/5k) for the conflict-
+  indexed :class:`~repro.core.dependences.RelaxedPolicy`, on a
+  per-action-buffer (``disjoint``) and a shared-buffer workload. (The
+  full-window oracle the index is verified against is test support,
+  ``tests/oracle.py``; ``tests/bench/test_perf.py`` holds the
+  indexed-beats-naive comparison.)
 * ``enqueue_admission`` — full ``enqueue_compute`` latency through the
   scheduler at held window depth (thread backend, blocked kernels),
   plus allocated heap blocks per enqueue.
@@ -38,9 +39,10 @@ Benches:
   re-enqueue on a pipelined RTM step sequence (two ranks, halo/bulk
   computes over field+velocity tensors, d2h/h2d halo exchange behind
   cross-stream waits, several steps in flight between host syncs).
-  Gates that replay runs **zero** dependence-scan comparisons and that
+  Gates that replay runs **zero** dependence-scan comparisons, that
   per-iteration admission cost stays at least 5x better than the
-  re-enqueue path at the same DAG size.
+  re-enqueue path at the same DAG size, and the graph edges the
+  re-enqueue path wires per iteration.
 * ``sanitizer_overhead`` — enqueue admission with the rtsan sanitizer
   off (before and after a sanitized runtime lived in the process) and
   on. Gates that a closed sanitizer leaves the sanitizer-off hot path
@@ -80,11 +82,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.actions import Action, ActionKind, Operand, OperandMode
 from repro.core.buffer import Buffer, ProxyAddressSpace
-from repro.core.dependences import (
-    NaiveRelaxedPolicy,
-    RelaxedPolicy,
-    StreamWindow,
-)
+from repro.core.dependences import StreamWindow
 
 __all__ = [
     "PerfRow",
@@ -176,50 +174,46 @@ def bench_enqueue_scan(
     """deps_for latency + deterministic scan counters vs window depth."""
     for workload in ("disjoint", "shared"):
         for depth in depths:
-            for policy_name, policy in (
-                ("indexed", RelaxedPolicy()),
-                ("naive", NaiveRelaxedPolicy()),
-            ):
-                window = StreamWindow(policy=policy)
-                _bufs, probe = _fill_window(window, depth, workload)
-                candidates0 = window.scan_candidates
-                comparisons0 = window.scan_comparisons
-                samples: List[float] = []
-                for _ in range(probes):
-                    t0 = time.perf_counter()
-                    window.deps_for(probe)
-                    samples.append(time.perf_counter() - t0)
-                bench = f"enqueue_scan:{workload}:{policy_name}:d{depth}"
-                rows.append(
-                    PerfRow(
-                        bench,
-                        "scan_candidates",
-                        (window.scan_candidates - candidates0) / probes,
-                        GATED_UNIT,
-                        probes,
-                        "window",
-                    )
+            window = StreamWindow()
+            _bufs, probe = _fill_window(window, depth, workload)
+            candidates0 = window.scan_candidates
+            comparisons0 = window.scan_comparisons
+            samples: List[float] = []
+            for _ in range(probes):
+                t0 = time.perf_counter()
+                window.deps_for(probe)
+                samples.append(time.perf_counter() - t0)
+            bench = f"enqueue_scan:{workload}:indexed:d{depth}"
+            rows.append(
+                PerfRow(
+                    bench,
+                    "scan_candidates",
+                    (window.scan_candidates - candidates0) / probes,
+                    GATED_UNIT,
+                    probes,
+                    "window",
                 )
-                rows.append(
-                    PerfRow(
-                        bench,
-                        "scan_comparisons",
-                        (window.scan_comparisons - comparisons0) / probes,
-                        GATED_UNIT,
-                        probes,
-                        "window",
-                    )
+            )
+            rows.append(
+                PerfRow(
+                    bench,
+                    "scan_comparisons",
+                    (window.scan_comparisons - comparisons0) / probes,
+                    GATED_UNIT,
+                    probes,
+                    "window",
                 )
-                rows.append(
-                    PerfRow(
-                        bench,
-                        "deps_for_p50_s",
-                        statistics.median(samples),
-                        "s",
-                        probes,
-                        "window",
-                    )
+            )
+            rows.append(
+                PerfRow(
+                    bench,
+                    "deps_for_p50_s",
+                    statistics.median(samples),
+                    "s",
+                    probes,
+                    "window",
                 )
+            )
 
 
 def _blocked_runtime(depth: int):
@@ -242,25 +236,12 @@ def _blocked_runtime(depth: int):
 
 
 def bench_enqueue_admission(
-    rows: List[PerfRow],
-    depths: Sequence[int],
-    measure: int,
-    naive_depth: Optional[int],
+    rows: List[PerfRow], depths: Sequence[int], measure: int
 ) -> None:
-    """Full enqueue latency through the scheduler at held window depth.
-
-    The window is filled through the indexed policy (fast) either way;
-    only the *measured* enqueues run under the policy being benchmarked,
-    so the naive number is honest without paying O(depth^2) to set up.
-    """
-    variants: List[Tuple[str, int]] = [("indexed", d) for d in depths]
-    if naive_depth is not None:
-        variants.append(("naive", naive_depth))
-    for policy_name, depth in variants:
+    """Full enqueue latency through the scheduler at held window depth."""
+    for depth in depths:
         hs, stream, gate = _blocked_runtime(depth)
         try:
-            if policy_name == "naive":
-                stream.window.policy = NaiveRelaxedPolicy()
             operands = []
             for _ in range(measure):
                 buf = hs.buffer_create(nbytes=64)
@@ -278,7 +259,7 @@ def bench_enqueue_admission(
             finally:
                 if gc_was_enabled:
                     gc.enable()
-            bench = f"enqueue_admission:{policy_name}:d{depth}"
+            bench = f"enqueue_admission:indexed:d{depth}"
             rows.append(
                 PerfRow(
                     bench,
@@ -289,17 +270,16 @@ def bench_enqueue_admission(
                     "thread",
                 )
             )
-            if policy_name == "indexed":
-                rows.append(
-                    PerfRow(
-                        bench,
-                        "allocated_blocks_per_enqueue",
-                        blocks / measure,
-                        GATED_UNIT,
-                        measure,
-                        "thread",
-                    )
+            rows.append(
+                PerfRow(
+                    bench,
+                    "allocated_blocks_per_enqueue",
+                    blocks / measure,
+                    GATED_UNIT,
+                    measure,
+                    "thread",
                 )
+            )
         finally:
             gate.set()
             hs.fini()
@@ -529,9 +509,10 @@ def bench_replay(rows: List[PerfRow], iters: int) -> None:
     admits the captured template through the batched final stage only.
 
     Gates: replay must run zero dependence-scan comparisons
-    (``replay_scan_comparisons``), the re-enqueue scan count pins the
-    DAG's conflict structure, and ``replay_admission_pct_over_5x_budget``
-    holds the >=5x acceptance bar (see the row comment below).
+    (``replay_scan_comparisons``), the re-enqueue scan and edge counts
+    pin the DAG's conflict structure and how much of it admission
+    wires, and ``replay_admission_pct_over_5x_budget`` holds the >=5x
+    acceptance bar (see the row comment below).
     """
     from repro.core.actions import XferDirection
     from repro.core.runtime import HStreams
@@ -618,35 +599,42 @@ def bench_replay(rows: List[PerfRow], iters: int) -> None:
                     ),
                 )
 
-    def scan_comparisons() -> int:
-        return sum(
-            s["dep_scan_comparisons"] for s in hs.metrics()["streams"].values()
+    def counters() -> Tuple[int, int]:
+        streams = hs.metrics()["streams"].values()
+        return (
+            sum(s["dep_scan_comparisons"] for s in streams),
+            sum(s["dep_edges"] for s in streams),
         )
 
     with hs.capture_graph() as template:
         emit_steps()
     hs.thread_synchronize()
 
+    # The two paths alternate iteration by iteration (the method
+    # ``sanitizer_overhead`` uses): timed one loop after the other, a
+    # clock step between the loops lands entirely on one side of the
+    # gated ratio.
+    enq_samples: List[float] = []
+    rep_samples: List[float] = []
+    enq_scans = enq_edges = rep_scans = 0
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        enq_samples: List[float] = []
-        scans0 = scan_comparisons()
         for _ in range(iters):
+            scans0, edges0 = counters()
             t0 = time.perf_counter()
             emit_steps()
             enq_samples.append(time.perf_counter() - t0)
             hs.thread_synchronize()
-        enq_scans = scan_comparisons() - scans0
+            scans1, edges1 = counters()
+            enq_scans += scans1 - scans0
+            enq_edges += edges1 - edges0
 
-        rep_samples: List[float] = []
-        scans0 = scan_comparisons()
-        for _ in range(iters):
             t0 = time.perf_counter()
             hs.replay(template)
             rep_samples.append(time.perf_counter() - t0)
             hs.thread_synchronize()
-        rep_scans = scan_comparisons() - scans0
+            rep_scans += counters()[0] - scans1
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -664,6 +652,16 @@ def bench_replay(rows: List[PerfRow], iters: int) -> None:
             bench,
             "reenqueue_scan_comparisons_per_iter",
             enq_scans / iters,
+            GATED_UNIT,
+            iters,
+            "sim",
+        )
+    )
+    rows.append(
+        PerfRow(
+            bench,
+            "reenqueue_dep_edges_per_iter",
+            enq_edges / iters,
             GATED_UNIT,
             iters,
             "sim",
@@ -942,7 +940,7 @@ def run_suite(
     payloads = (4 << 10, 64 << 10) if quick else (4 << 10, 64 << 10, 1 << 20, 8 << 20)
     rows: List[PerfRow] = []
     bench_enqueue_scan(rows, depths, probes)
-    bench_enqueue_admission(rows, depths, measure, naive_depth=max(depths))
+    bench_enqueue_admission(rows, depths, measure)
     bench_dispatch_throughput(rows, count)
     bench_cpu_scaling(
         rows, reps=4 if quick else 12, actions=3 if quick else 6, gate=not quick

@@ -22,7 +22,7 @@ how the CLI checks programs that build their runtimes internally.
 
 These primitives started life inside :mod:`repro.analysis`; they moved
 here because graph replay (:mod:`repro.core.replay`) records templates
-with the same shadow-window policy recomputation the analyzer uses, and
+with the same full-history policy recomputation the analyzer uses, and
 ``core`` cannot depend on ``analysis``. The analyzer re-imports from
 here, so ``repro.analysis.capture`` remains a working import path.
 """
@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.backend import Backend
+from repro.core.dependences import HistoryWindow
 from repro.core.errors import HStreamsInvalid
 from repro.core.scheduler import SchedulerObserver
 from repro.core.sites import user_site as _user_site
@@ -57,46 +58,21 @@ __all__ = [
 ]
 
 
-class _ShadowWindow:
-    """A never-retiring stream history for policy-dep recomputation.
-
-    The scheduler's real :class:`~repro.core.dependences.StreamWindow`
-    only holds in-flight work — completed predecessors impose no
-    *execution* constraint. The analyzer, however, asks about ordering
-    across **all** schedules, where "it happened to be complete at
-    enqueue time" is not a guarantee (and under capture everything
-    completes instantly, so the real window is always empty). Replaying
-    the stream's own policy over this full history yields the
-    intra-stream edges as if nothing had completed. The relaxed policy's
-    barrier cut-off keeps scans short in barrier-using programs; the
-    worst case is O(history) per action.
-    """
-
-    __slots__ = ("_actions",)
-
-    def __init__(self) -> None:
-        self._actions: List["Action"] = []
-
-    def add(self, action: "Action") -> None:
-        self._actions.append(action)
-
-    def live_newest_first(self):
-        return reversed(self._actions)
-
-
 def policy_dep_seqs(shadows: dict, action: "Action") -> Tuple[int, ...]:
     """Intra-stream policy deps of ``action`` over full stream history.
 
-    ``shadows`` maps stream id to the :class:`_ShadowWindow` this call
-    maintains; the action is appended after its deps are computed.
+    ``shadows`` maps stream id to the
+    :class:`~repro.core.dependences.HistoryWindow` this call maintains —
+    the stream's own policy and scan over a window that never retires;
+    the action is added after its deps are computed.
     """
     stream = action.stream
     if stream is None:
         return ()
     shadow = shadows.get(stream.id)
     if shadow is None:
-        shadow = shadows[stream.id] = _ShadowWindow()
-    deps = stream.window.policy.deps_for(shadow, action)
+        shadow = shadows[stream.id] = HistoryWindow(policy=stream.window.policy)
+    deps = shadow.deps_for(action)
     shadow.add(action)
     return tuple(d.seq for d in deps)
 

@@ -13,19 +13,27 @@ scheduler, not a property of the window itself:
 * :class:`RelaxedPolicy` — operand-conflict relaxation (hStreams);
 * :class:`StrictFifoPolicy` — every action waits on its immediate
   predecessor (the CUDA-Streams comparator is built from streams using
-  this policy, rather than being special-cased in the dependence scan);
-* :class:`NaiveRelaxedPolicy` — the original O(window) newest-first scan,
-  kept as the semantic oracle for the property tests and the before/after
-  axis of the hot-path microbenchmarks.
+  this policy, rather than being special-cased in the dependence scan).
 
 :class:`StreamWindow` itself is a per-stream view over the action graph
 that maintains a **conflict index**: live actions are bucketed by the
-buffers their (cached) operand footprints touch, with barrier actions in
-a dedicated lane. ``RelaxedPolicy`` therefore examines only predecessors
-that touch an overlapping buffer — the enqueue cost is O(conflicts), not
-O(in-flight window depth). The scheduler retires entries incrementally
-as actions complete (O(1) per completion); used standalone (unit tests),
-the window lazily drops completed entries as scans encounter them.
+buffers their (cached) operand footprints touch, each bucket split into
+a writer lane and a reader lane, with barrier actions in a dedicated
+lane. The relaxed scan returns the *transitive reduction* of the
+conflict relation rather than every conflicting pair: walking a bucket
+newest-first it tracks the probed bytes not yet covered by a newer live
+writer, keeps a predecessor only if it conflicts on still-uncovered
+bytes, and stops when nothing is uncovered. Every skipped predecessor
+was live and conflicting when the covering writer was admitted, so it is
+already that writer's ancestor — the same argument as the barrier
+cut-off, applied to data. The enqueue cost is O(last writers + readers
+since), not O(conflicting predecessors), and the scheduler wires,
+resolves and later decrements only those edges.
+
+The scheduler retires entries incrementally as actions complete (O(1)
+per completion); used standalone (unit tests), the window lazily drops
+completed entries as scans encounter them. :class:`HistoryWindow` is the
+never-retiring variant the capture recorders run the same scan over.
 
 The window also counts its work — :attr:`StreamWindow.scan_candidates`
 (predecessors examined) and :attr:`StreamWindow.scan_comparisons`
@@ -35,18 +43,23 @@ perf harness (:mod:`repro.bench.perf`) gates CI regressions on.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.actions import Action
 from repro.core.sync import caller_locked, guarded_by
 
 __all__ = [
     "DependencePolicy",
-    "NaiveRelaxedPolicy",
+    "HistoryWindow",
     "RelaxedPolicy",
     "StrictFifoPolicy",
     "StreamWindow",
 ]
+
+#: One lane of the conflict index: buffer uid -> ``{seq: action}`` in
+#: enqueue order. An action sits in a buffer's lane once, however many
+#: of its footprint entries on that buffer share the lane's mode.
+_Lane = Dict[int, Dict[int, Action]]
 
 
 class DependencePolicy:
@@ -62,53 +75,16 @@ class DependencePolicy:
 class RelaxedPolicy(DependencePolicy):
     """hStreams semantics: depend only on conflicting predecessors.
 
-    The scan *cuts off* at the newest conflicting barrier — anything
-    older is already ordered through it transitively (barriers conflict
-    with everything). On a :class:`StreamWindow` the scan goes through
-    the conflict index (O(conflicts)); on any other window-like object
-    (e.g. the analyzer's shadow windows) it falls back to the naive
-    newest-first walk, which keeps the semantics in one place.
+    The dependence set is :meth:`StreamWindow.conflict_scan`'s: the
+    conflicting predecessors not already ordered before ``action``
+    through a newer live writer of the same bytes or the newest live
+    barrier.
     """
 
     __slots__ = ()
 
     def deps_for(self, window: "StreamWindow", action: Action) -> List[Action]:
-        scan = getattr(window, "conflict_scan", None)
-        if scan is not None:
-            return scan(action)
-        return _naive_scan(window, action)
-
-
-class NaiveRelaxedPolicy(DependencePolicy):
-    """The pre-index O(window) scan, byte-for-byte the old behaviour.
-
-    Exists as the oracle the conflict index is verified against (the
-    Hypothesis property test) and as the "before" side of the hot-path
-    microbenchmarks. Not used by any production stream.
-    """
-
-    __slots__ = ()
-
-    def deps_for(self, window: "StreamWindow", action: Action) -> List[Action]:
-        return _naive_scan(window, action)
-
-
-def _naive_scan(window: "StreamWindow", action: Action) -> List[Action]:
-    """Newest-first full-window scan (the original RelaxedPolicy)."""
-    deps: List[Action] = []
-    counting = isinstance(window, StreamWindow)
-    for prev in window.live_newest_first():
-        if counting:
-            window.scan_candidates += 1
-            window.scan_comparisons += max(
-                1, len(prev.footprint) * len(action.footprint)
-            )
-        if prev.conflicts_with(action):
-            deps.append(prev)
-            if prev.barrier:
-                break  # the barrier already orders everything older
-    deps.reverse()
-    return deps
+        return window.conflict_scan(action)
 
 
 class StrictFifoPolicy(DependencePolicy):
@@ -121,21 +97,21 @@ class StrictFifoPolicy(DependencePolicy):
     __slots__ = ()
 
     def deps_for(self, window: "StreamWindow", action: Action) -> List[Action]:
-        for prev in window.live_newest_first():
-            return [prev]
-        return []
+        prev = window.newest_live()
+        return [] if prev is None else [prev]
 
 
-@guarded_by("_lock", "_live", "_by_buffer", "_barriers")
+@guarded_by("_lock", "_live", "_writers", "_readers", "_barriers")
 class StreamWindow:
     """Per-stream view over the in-flight actions of the shared graph.
 
-    Maintains the conflict index: ``_by_buffer`` buckets live non-barrier
-    actions by the buffer uids their footprints touch; ``_barriers`` is
-    the dedicated barrier lane (barriers conflict with everything, so
-    they never belong in a per-buffer bucket). ``_live`` keeps the full
-    in-flight set in enqueue order for the strict policy, barrier
-    enqueues, and ``pending_completions``.
+    Maintains the conflict index: ``_writers`` and ``_readers`` bucket
+    live non-barrier actions by the buffer uids their footprints write
+    and read — two lanes, so a reading probe never examines other
+    readers; ``_barriers`` is the dedicated barrier lane (barriers
+    conflict with everything, so they never belong in a per-buffer
+    bucket). ``_live`` keeps the full in-flight set in enqueue order for
+    the strict policy, barrier enqueues, and ``pending_completions``.
 
     The scheduler calls :meth:`retire` as each action completes, so the
     live set shrinks incrementally; standalone, completed entries are
@@ -156,7 +132,8 @@ class StreamWindow:
         "policy",
         "_lock",
         "_live",
-        "_by_buffer",
+        "_writers",
+        "_readers",
         "_barriers",
         "_in_flight",
         "enqueued_count",
@@ -179,8 +156,10 @@ class StreamWindow:
         self.policy = policy
         #: In-flight actions by sequence number, in enqueue order.
         self._live: Dict[int, Action] = {}
-        #: Conflict index: buffer uid -> {seq: action}, enqueue order.
-        self._by_buffer: Dict[int, Dict[int, Action]] = {}
+        #: Conflict index, writer lane: actions writing each buffer.
+        self._writers: _Lane = {}
+        #: Conflict index, reader lane: actions only reading a range.
+        self._readers: _Lane = {}
         #: Barrier lane: {seq: barrier action}, enqueue order.
         self._barriers: Dict[int, Action] = {}
         self._in_flight = 0
@@ -196,17 +175,19 @@ class StreamWindow:
     @caller_locked("_lock")
     def add(self, action: Action) -> None:
         """Record a newly enqueued action and index its footprint."""
-        self._live[action.seq] = action
+        seq = action.seq
+        self._live[seq] = action
         self.enqueued_count += 1
         self._in_flight += 1
         if action.barrier:
-            self._barriers[action.seq] = action
+            self._barriers[seq] = action
         else:
-            for uid, _start, _end, _writes in action.footprint:
-                bucket = self._by_buffer.get(uid)
+            for uid, _start, _end, writes in action.footprint:
+                lane = self._writers if writes else self._readers
+                bucket = lane.get(uid)
                 if bucket is None:
-                    bucket = self._by_buffer[uid] = {}
-                bucket[action.seq] = action
+                    bucket = lane[uid] = {}
+                bucket[seq] = action
 
     @caller_locked("_lock")
     def retire(self, action: Action) -> None:
@@ -219,15 +200,17 @@ class StreamWindow:
 
     @caller_locked("_lock")
     def _unindex(self, action: Action) -> None:
+        seq = action.seq
         if action.barrier:
-            self._barriers.pop(action.seq, None)
+            self._barriers.pop(seq, None)
             return
-        for uid, _start, _end, _writes in action.footprint:
-            bucket = self._by_buffer.get(uid)
+        for uid, _start, _end, writes in action.footprint:
+            lane = self._writers if writes else self._readers
+            bucket = lane.get(uid)
             if bucket is not None:
-                bucket.pop(action.seq, None)
+                bucket.pop(seq, None)
                 if not bucket:
-                    del self._by_buffer[uid]
+                    del lane[uid]
 
     @staticmethod
     def _completed(action: Action) -> bool:
@@ -235,20 +218,27 @@ class StreamWindow:
         return completion is not None and completion.is_complete()
 
     @caller_locked("_lock")
-    def live_newest_first(self) -> Iterator[Action]:
-        """In-flight actions, newest first.
-
-        Completed entries nobody retired (standalone use, without a
-        scheduler) are dropped as the scan encounters them.
-        """
-        for seq in reversed(list(self._live)):
-            action = self._live.get(seq)
-            if action is None:  # retired concurrently by the scheduler
-                continue
-            if self._completed(action):
+    def _retire_all(self, dead: Optional[List[Action]]) -> None:
+        """Retire the completed entries a scan set aside (scans never
+        mutate the lane they are iterating)."""
+        if dead is not None:
+            for action in dead:
                 self.retire(action)
-                continue
-            yield action
+
+    @caller_locked("_lock")
+    def newest_live(self) -> Optional[Action]:
+        """The newest in-flight action, or None — O(1).
+
+        Completed tail entries nobody retired (standalone use, without
+        a scheduler) are dropped on the way.
+        """
+        live = self._live
+        while live:
+            action = live[next(reversed(live))]
+            if not self._completed(action):
+                return action
+            self.retire(action)
+        return None
 
     # -- the conflict-indexed scan -------------------------------------------
 
@@ -257,8 +247,7 @@ class StreamWindow:
         """The newest incomplete barrier, lazily dropping completed ones."""
         dead: Optional[List[Action]] = None
         found: Optional[Action] = None
-        for seq in reversed(self._barriers):
-            barrier = self._barriers[seq]
+        for barrier in reversed(self._barriers.values()):
             if self._completed(barrier):
                 if dead is None:
                     dead = []
@@ -266,72 +255,116 @@ class StreamWindow:
                 continue
             found = barrier
             break
-        if dead is not None:
-            for barrier in dead:
-                self.retire(barrier)
+        self._retire_all(dead)
         return found
 
     @caller_locked("_lock")
     def conflict_scan(self, action: Action) -> List[Action]:
-        """Conflicting live predecessors of ``action``, in enqueue order.
+        """The live predecessors ``action`` must be wired after, in
+        enqueue order.
 
-        Semantically identical to the naive newest-first scan: collect
-        every incomplete predecessor whose operands conflict, cut off at
-        the newest live barrier (which is itself always a dependence —
-        barriers conflict with everything). The index makes the work
-        proportional to the predecessors *touching the same buffers*,
-        not the whole in-flight window.
+        The paper's dependence relation is "every incomplete
+        predecessor whose operands conflict". This returns the subset
+        whose edges imply all the others. For each footprint interval
+        the bucket is walked newest-first while tracking the interval's
+        bytes not yet *covered* by a newer live writer: a predecessor is
+        kept only if it conflicts on still-uncovered bytes, every kept
+        writer subtracts its range, and the walk stops when nothing is
+        uncovered (or at the newest live barrier, which is itself always
+        a dependence). A skipped predecessor touches only bytes some
+        kept, newer writer writes; it was live and conflicting when that
+        writer was admitted, so it is one of the writer's ancestors and
+        is ordered before ``action`` through it. Readiness, cancellation
+        and poison propagation therefore see the same order as with the
+        full conflict set. A reading interval walks the writer lane
+        only; a writing interval merges both lanes by sequence number.
         """
-        barrier = self._newest_live_barrier()
-        barrier_seq = barrier.seq if barrier is not None else -1
-
         if action.barrier:
             # A barrier orders after everything live since the previous
             # barrier: its dependence set is inherently O(window).
             deps: List[Action] = []
-            for prev in self.live_newest_first():
-                self.scan_candidates += 1
-                self.scan_comparisons += 1
-                deps.append(prev)
-                if prev.barrier:
-                    break
-            deps.reverse()
-            return deps
-
-        found: Dict[int, Action] = {}
-        dead: Optional[List[Action]] = None
-        for uid, start, end, writes in action.footprint:
-            bucket = self._by_buffer.get(uid)
-            if not bucket:
-                continue
-            for seq in reversed(bucket):
-                if seq <= barrier_seq:
-                    break  # ordered transitively through the barrier
-                if seq in found:
-                    continue
-                prev = bucket[seq]
-                self.scan_candidates += 1
+            dead: Optional[List[Action]] = None
+            for prev in reversed(self._live.values()):
                 if self._completed(prev):
                     if dead is None:
                         dead = []
                     dead.append(prev)
                     continue
-                for prev_uid, prev_start, prev_end, prev_writes in prev.footprint:
-                    if prev_uid != uid:
-                        continue
-                    self.scan_comparisons += 1
-                    if (
-                        (writes or prev_writes)
-                        and start < prev_end
-                        and prev_start < end
-                    ):
-                        found[seq] = prev
+                self.scan_candidates += 1
+                self.scan_comparisons += 1
+                deps.append(prev)
+                if prev.barrier:
+                    break
+            self._retire_all(dead)
+            deps.reverse()
+            return deps
+
+        barrier = self._newest_live_barrier()
+        barrier_seq = barrier.seq if barrier is not None else -1
+        found: Dict[int, Action] = {}
+        dead = None
+        candidates = comparisons = 0
+        completed = self._completed
+        for uid, start, end, writes in action.footprint:
+            writers = self._writers.get(uid, ())
+            w_iter = reversed(writers)
+            w_seq = next(w_iter, -1)
+            r_seq = -1
+            if writes:
+                readers = self._readers.get(uid, ())
+                r_iter = reversed(readers)
+                r_seq = next(r_iter, -1)
+            uncovered = [(start, end)]
+            while True:
+                # Newest first across both lanes; -1 marks a drained lane
+                # and never passes the barrier test.
+                from_writers = w_seq >= r_seq
+                if from_writers:
+                    seq = w_seq
+                    if seq <= barrier_seq:
+                        break  # ordered transitively through the barrier
+                    prev = writers[seq]
+                    w_seq = next(w_iter, -1)
+                else:
+                    seq = r_seq
+                    if seq <= barrier_seq:
                         break
-            if dead is not None:
-                # Retire outside the bucket iteration (retire mutates it).
-                for prev in dead:
-                    self.retire(prev)
-                dead = None
+                    r_seq = next(r_iter, -1)
+                    if seq in found:
+                        continue
+                    prev = readers[seq]
+                candidates += 1
+                if completed(prev):
+                    if dead is None:
+                        dead = []
+                    dead.append(prev)
+                    continue
+                for p_uid, p_start, p_end, p_writes in prev.footprint:
+                    if p_uid != uid or p_writes != from_writers:
+                        continue
+                    comparisons += 1
+                    if from_writers:
+                        rest = []
+                        for lo, hi in uncovered:
+                            if p_start < hi and lo < p_end:
+                                found[seq] = prev
+                                if lo < p_start:
+                                    rest.append((lo, p_start))
+                                if p_end < hi:
+                                    rest.append((p_end, hi))
+                            else:
+                                rest.append((lo, hi))
+                        uncovered = rest
+                    else:
+                        for lo, hi in uncovered:
+                            if p_start < hi and lo < p_end:
+                                found[seq] = prev
+                                break
+                if not uncovered:
+                    break  # every older conflict is behind a kept writer
+        self._retire_all(dead)
+        self.scan_candidates += candidates
+        self.scan_comparisons += comparisons
         if barrier is not None:
             found[barrier_seq] = barrier
         if not found:
@@ -377,15 +410,14 @@ class StreamWindow:
     def check_index(self, label: str = "window") -> List[str]:
         """Recompute the conflict index from ``_live`` and diff it.
 
-        The invariant behind ``RelaxedPolicy``'s O(conflicts) scan: the
-        indexed scan consults only the per-buffer buckets and the
-        barrier lane, the naive oracle scans the live set — so if every
-        live non-barrier action is bucketed under exactly its footprint
-        uids, every bucket entry is live, and the barrier lane is
-        exactly the live barriers, the two compute identical dependence
-        sets for any probe. Under a scheduler (eager retirement) the
-        equalities are strict. Returns human-readable problems; empty
-        means consistent.
+        The invariant behind :meth:`conflict_scan`: the scan consults
+        only the per-buffer lanes and the barrier lane, so it sees every
+        live conflict iff each live non-barrier action sits in the
+        writer lane of exactly the buffers it writes and the reader lane
+        of exactly the buffers it reads, every lane entry is live, and
+        the barrier lane is exactly the live barriers. Under a scheduler
+        (eager retirement) the equalities are strict. Returns
+        human-readable problems; empty means consistent.
         """
         problems: List[str] = []
         if self._in_flight != len(self._live):
@@ -404,19 +436,46 @@ class StreamWindow:
                 f"{label}: barrier lane {sorted(self._barriers)} != live "
                 f"barriers {sorted(live_barriers)}"
             )
-        expected: Dict[int, set] = {}
+        expected: Dict[Tuple[int, str], set] = {}
         for seq, action in self._live.items():
             if action.barrier:
                 continue
-            for uid, _start, _end, _writes in action.footprint:
-                expected.setdefault(uid, set()).add(seq)
-        actual = {uid: set(bucket) for uid, bucket in self._by_buffer.items()}
+            for uid, _start, _end, writes in action.footprint:
+                lane = "writer" if writes else "reader"
+                expected.setdefault((uid, lane), set()).add(seq)
+        actual = {
+            (uid, lane): set(bucket)
+            for lane, buckets in (("writer", self._writers), ("reader", self._readers))
+            for uid, bucket in buckets.items()
+        }
         if actual != expected:
-            for uid in sorted(set(actual) | set(expected)):
-                a, e = actual.get(uid, set()), expected.get(uid, set())
+            for key in sorted(set(actual) | set(expected)):
+                a, e = actual.get(key, set()), expected.get(key, set())
                 if a != e:
                     problems.append(
-                        f"{label}: buffer {uid} bucket {sorted(a)} != "
-                        f"recomputed {sorted(e)}"
+                        f"{label}: buffer {key[0]} {key[1]} lane {sorted(a)} "
+                        f"!= recomputed {sorted(e)}"
                     )
         return problems
+
+
+class HistoryWindow(StreamWindow):
+    """A stream's whole enqueue history, scanned as if nothing completed.
+
+    The scheduler's window only holds in-flight work — completed
+    predecessors impose no *execution* constraint. The capture
+    recorders (hsan traces, graph templates) ask about ordering across
+    **all** schedules, where "it happened to be complete at enqueue
+    time" is timing, not a guarantee (and under capture everything
+    completes instantly, so the real window is always empty). Running
+    the stream's own policy over a window that never retires yields the
+    intra-stream edges of the schedule in which every predecessor is
+    still live: the same scan, hence the same reduced edge set, whose
+    closure is the full conflict order.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _completed(action: Action) -> bool:
+        return False

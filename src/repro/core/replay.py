@@ -11,11 +11,13 @@ This module is the hStreams analogue:
   the scope into a :class:`GraphTemplate`. Capture is **warm**: the
   recorded iteration still executes normally (thread or sim backend),
   so capture costs one ordinary iteration, not a dry run.
-* The template's dependence edges are recomputed with the analyzer's
-  shadow-window machinery (:func:`~repro.core.capture.policy_dep_seqs`)
-  over the *full* capture history plus the explicit event waits. That
-  is a schedule-independent superset of the edges any replay needs —
-  "it happened to be complete at enqueue time" is timing, not ordering.
+* The template's dependence edges are recomputed by the stream's own
+  policy over the *full* capture history
+  (:func:`~repro.core.capture.policy_dep_seqs`: the scheduler's scan on
+  a window that never retires) plus the explicit event waits. That is
+  schedule-independent, and its closure orders everything any replay
+  needs — "it happened to be complete at enqueue time" is timing, not
+  ordering.
 * ``hs.replay(g)`` re-admits the DAG through
   :meth:`~repro.core.scheduler.Scheduler.enqueue_precomputed`, which
   injects the pre-computed edges directly into the scheduler's live
@@ -70,7 +72,7 @@ class GraphRecorder(SchedulerObserver):
     Registered by :meth:`~repro.core.runtime.HStreams.capture_graph`
     for the duration of the scope. For every admitted action it resolves
     the template-internal dependence edges (explicit event waits plus
-    shadow-window policy deps, mapped from global seqs to template
+    full-history policy deps, mapped from global seqs to template
     indices) and appends a matching
     :class:`~repro.core.capture.ActionEvent` to the template's
     :class:`~repro.core.capture.ProgramTrace`, so the hazard analyzer

@@ -285,6 +285,7 @@ class StreamStats:
         "failed",
         "cancelled",
         "retried",
+        "dep_edges",
         "dep_stall_s",
         "dispatch_stall_s",
         "exec_s",
@@ -304,6 +305,11 @@ class StreamStats:
         self.cancelled = 0
         #: Retry attempts consumed under ``failure_policy="retry"``.
         self.retried = 0
+        #: Graph edges wired into this stream's actions at admission
+        #: (live producers only) — each is resolved once and decremented
+        #: once, so this is the per-action cost the dependence scan's
+        #: edge reduction exists to shrink.
+        self.dep_edges = 0
         self.dep_stall_s = 0.0
         self.dispatch_stall_s = 0.0
         self.exec_s = 0.0
@@ -327,6 +333,7 @@ class StreamStats:
             "failed": self.failed,
             "cancelled": self.cancelled,
             "retried": self.retried,
+            "dep_edges": self.dep_edges,
             "dep_stall_s": self.dep_stall_s,
             "dispatch_stall_s": self.dispatch_stall_s,
             "exec_s": self.exec_s,
@@ -656,16 +663,18 @@ class Scheduler:
         self._totals["enqueued"] += len(nodes)
         self._outstanding += len(nodes)
         per_stream: Dict[int, List] = {}
-        for action in instance.actions:
+        for action, dep_idx in zip(instance.actions, instance.template.dep_indices):
             entry = per_stream.get(action.stream.id)
             if entry is None:
-                per_stream[action.stream.id] = [action.stream, 1]
+                per_stream[action.stream.id] = [action.stream, 1, len(dep_idx)]
             else:
                 entry[1] += 1
+                entry[2] += len(dep_idx)
         tracer = self.runtime.tracer
-        for stream, count in per_stream.values():
+        for stream, count, edges in per_stream.values():
             stats = self._stream_stats(stream)
             stats.enqueued += count
+            stats.dep_edges += edges
             stats.depth += count
             if stats.depth > stats.max_depth:
                 stats.max_depth = stats.depth
@@ -765,6 +774,7 @@ class Scheduler:
         stream.window.add(action)
         stats = self._stream_stats(stream)
         stats.enqueued += 1
+        stats.dep_edges += len(dep_nodes)
         stats.depth += 1
         if stats.depth > stats.max_depth:
             stats.max_depth = stats.depth
@@ -1169,9 +1179,9 @@ class Scheduler:
         lists), per-stream depth vs the live nodes of that stream, and
         each stream window's conflict index vs a from-scratch rebuild
         (:meth:`~repro.core.dependences.StreamWindow.check_index` — the
-        naive-oracle equivalence). Returns human-readable problems;
-        empty means consistent. Under rtsan this runs after every
-        admission and completion transition.
+        lanes hold exactly the live conflicts the scan must see).
+        Returns human-readable problems; empty means consistent. Under
+        rtsan this runs after every admission and completion transition.
         """
         with self._lock:
             return self._check_invariants_locked()
@@ -1258,7 +1268,8 @@ class Scheduler:
         Keys:
 
         * ``actions`` — enqueued / completed / failed / cancelled /
-          retried / in-flight counts;
+          retried / in-flight counts, plus ``dep_edges`` (graph edges
+          wired at admission);
         * ``lifecycle`` — total dependence-stall, dispatch-stall, and
           execution seconds across all finished actions;
         * ``by_kind`` — the same split per action kind;
@@ -1275,6 +1286,9 @@ class Scheduler:
                     "failed": self._totals["failed"],
                     "cancelled": self._totals["cancelled"],
                     "retried": self._totals["retried"],
+                    "dep_edges": sum(
+                        stats.dep_edges for stats in self._streams.values()
+                    ),
                     "in_flight": self._outstanding,
                 },
                 "lifecycle": {

@@ -15,6 +15,8 @@ import pytest
 
 from repro.bench import perf
 from repro.bench.perf import PerfRow
+from repro.core.dependences import StreamWindow
+from tests.oracle import NaiveRelaxedPolicy
 
 
 def row(bench="b", metric="m", value=10.0, unit="count", n=5, backend="window"):
@@ -107,8 +109,11 @@ class TestSuite:
     def test_indexed_beats_naive_on_counters(self, tiny_rows):
         by_key = {(r.bench, r.metric): r.value for r in tiny_rows}
         indexed = by_key[("enqueue_scan:disjoint:indexed:d5", "scan_comparisons")]
-        naive = by_key[("enqueue_scan:disjoint:naive:d5", "scan_comparisons")]
-        assert indexed < naive
+        # The naive side is the test-support oracle on the same window.
+        window = StreamWindow(policy=NaiveRelaxedPolicy())
+        _bufs, probe = perf._fill_window(window, 5, "disjoint")
+        window.deps_for(probe)
+        assert indexed < window.scan_comparisons
 
     def test_self_check_passes_and_2x_fails(self, tiny_rows):
         assert perf.check_rows(tiny_rows, tiny_rows) == []

@@ -347,7 +347,7 @@ class TestConflictIndex:
         assert w.scan_candidates - before == 1
 
     def test_naive_policy_scans_whole_window(self):
-        from repro.core.dependences import NaiveRelaxedPolicy
+        from tests.oracle import NaiveRelaxedPolicy
 
         space = ProxyAddressSpace()
         bufs = [Buffer(space, nbytes=64) for _ in range(50)]
@@ -364,9 +364,9 @@ class TestConflictIndex:
         w = StreamWindow()
         a = make_action([wr(buf, 0, 8)])
         w.add(a)
-        assert w._by_buffer
+        assert w._writers
         w.retire(a)
-        assert not w._by_buffer
+        assert not w._writers and not w._readers
 
     def test_barrier_lane_cleanup(self, buf):
         w = StreamWindow()
@@ -403,8 +403,9 @@ class TestConflictIndex:
 
 
 class TestDependencePropertyFuzz:
-    """Property: deps_for returns exactly the incomplete, conflicting
-    predecessors (cut at the newest conflicting barrier)."""
+    """Property: deps_for returns a subset of the incomplete,
+    conflicting predecessors (cut at the newest conflicting barrier)
+    from which all the others are reachable through recorded edges."""
 
     def _oracle(self, history, action):
         deps = []
@@ -421,10 +422,26 @@ class TestDependencePropertyFuzz:
     def test_random_histories_match_oracle(self, buf):
         import numpy as np
 
+        from tests.oracle import assert_reduction, completable
+
         rng = np.random.default_rng(7)
         for _trial in range(30):
             w = StreamWindow()
             history = []
+            edges = {}
+            live = []
+
+            def check(key, action):
+                reduced = w.deps_for(action)
+                assert reduced == sorted(reduced, key=lambda a: a.seq)
+                assert_reduction(
+                    key,
+                    [history.index(d) for d in reduced],
+                    [history.index(d) for d in self._oracle(history, action)],
+                    edges,
+                    set(live),
+                )
+
             for _ in range(int(rng.integers(1, 20))):
                 if rng.random() < 0.1:
                     a = make_action([], barrier=True)
@@ -434,13 +451,199 @@ class TestDependencePropertyFuzz:
                     mode = (OperandMode.IN if rng.random() < 0.5
                             else OperandMode.OUT)
                     a = make_action([Operand(buf, off, ln, mode)])
-                if rng.random() < 0.4 and history:
-                    history[int(rng.integers(0, len(history)))].completion.complete()
+                if rng.random() < 0.4 and live:
+                    # Completions respect the recorded edges, as under
+                    # a scheduler: only an action with no live producer.
+                    ready = completable(live, edges)
+                    done = ready[int(rng.integers(0, len(ready)))]
+                    history[done].completion.complete()
+                    live.remove(done)
                 probe_off = int(rng.integers(0, 3500))
                 probe = make_action(
                     [Operand(buf, probe_off, int(rng.integers(1, 500)),
                              OperandMode.INOUT)]
                 )
-                assert w.deps_for(probe) == self._oracle(history, probe)
+                check("probe", probe)
+                check(len(history), a)
                 w.add(a)
+                live.append(len(history))
                 history.append(a)
+
+
+class CountingEvent(FakeEvent):
+    """FakeEvent that counts how often a scan polls it."""
+
+    polls = 0
+
+    def is_complete(self):
+        CountingEvent.polls += 1
+        return self._done
+
+
+class TestCoveringWriterCutoff:
+    """The relaxed scan wires the transitive reduction: a predecessor
+    behind a newer live writer of the same bytes is that writer's
+    ancestor already, so it is neither examined nor returned."""
+
+    def _scan(self, w, probe):
+        before = w.scan_candidates
+        deps = w.deps_for(probe)
+        return deps, w.scan_candidates - before
+
+    def test_full_cover_writer_stops_the_walk(self, buf):
+        w = StreamWindow()
+        old = make_action([wr(buf, 0, 100)])
+        reader = make_action([rd(buf, 0, 100)])
+        new = make_action([wr(buf, 0, 100)])
+        for x in (old, reader, new):
+            w.add(x)
+        # Read probe: the newest writer covers everything.
+        assert self._scan(w, make_action([rd(buf, 10, 50)])) == ([new], 1)
+        # Write probe: same, the older reader is behind `new` too.
+        assert self._scan(w, make_action([wr(buf, 0, 100)])) == ([new], 1)
+
+    def test_readers_since_the_last_writer_are_kept(self, buf):
+        w = StreamWindow()
+        writer = make_action([wr(buf, 0, 100)])
+        r1 = make_action([rd(buf, 0, 50)])
+        r2 = make_action([rd(buf, 50, 50)])
+        for x in (writer, r1, r2):
+            w.add(x)
+        deps, examined = self._scan(w, make_action([wr(buf, 0, 100)]))
+        assert deps == [writer, r1, r2]
+        assert examined == 3
+
+    def test_halo_style_partial_covers(self, buf):
+        w = StreamWindow()
+        old = make_action([wr(buf, 0, 100)])
+        mid_reader = make_action([rd(buf, 40, 20)])
+        lo = make_action([wr(buf, 0, 30)])
+        hi = make_action([wr(buf, 70, 30)])
+        for x in (old, mid_reader, lo, hi):
+            w.add(x)
+        # [30, 70) is still uncovered: the walk reaches `old` for it.
+        assert w.deps_for(make_action([rd(buf, 0, 100)])) == [old, lo, hi]
+        # A probe inside one halo needs only that halo's writer.
+        assert self._scan(w, make_action([rd(buf, 75, 10)])) == ([hi], 1)
+        # A writer of the gap orders after the reader still in it.
+        assert w.deps_for(make_action([wr(buf, 30, 40)])) == [old, mid_reader]
+        mid = make_action([wr(buf, 30, 40)])
+        w.add(mid)
+        # Now three writers tile the range: `old` and the reader are
+        # behind them and no longer examined.
+        deps, examined = self._scan(w, make_action([wr(buf, 0, 100)]))
+        assert deps == [lo, hi, mid]
+        assert examined == 3
+
+    def test_partial_cover_keeps_the_uncovered_remainder(self, buf):
+        w = StreamWindow()
+        old = make_action([wr(buf, 0, 100)])
+        new = make_action([wr(buf, 0, 60)])
+        w.add(old)
+        w.add(new)
+        assert w.deps_for(make_action([rd(buf, 0, 60)])) == [new]
+        assert w.deps_for(make_action([rd(buf, 50, 50)])) == [old, new]
+        assert w.deps_for(make_action([rd(buf, 60, 40)])) == [old]
+
+    def test_completed_unretired_writer_covers_nothing(self, buf):
+        w = StreamWindow()
+        old = make_action([wr(buf, 0, 100)])
+        new = make_action([wr(buf, 0, 100)])
+        w.add(old)
+        w.add(new)
+        # Out of dependence order on purpose: `new` is done, `old` is
+        # not. A dead writer orders nothing, so `old` must be found.
+        new.completion.complete()
+        assert w.deps_for(make_action([rd(buf, 0, 100)])) == [old]
+        assert w.in_flight == 1  # and the scan dropped the dead entry
+
+    def test_reader_never_examines_other_readers(self, buf):
+        w = StreamWindow()
+        readers = [make_action([rd(buf, 0, 64)]) for _ in range(1000)]
+        for r in readers:
+            w.add(r)
+        assert self._scan(w, make_action([rd(buf, 0, 64)])) == ([], 0)
+        # A writer is ordered after every one of them: N edges.
+        deps, examined = self._scan(w, make_action([wr(buf, 0, 64)]))
+        assert deps == readers
+        assert examined == 1000
+
+    def test_same_action_reading_and_writing_one_buffer(self, buf):
+        w = StreamWindow()
+        both = make_action([rd(buf, 0, 100), wr(buf, 40, 20)])
+        w.add(both)
+        # Found through the reader lane, still covers through the
+        # writer lane: the older writer of [40, 60) would hide behind it.
+        older = make_action([wr(buf, 40, 20)])
+        w2 = StreamWindow()
+        w2.add(older)
+        w2.add(both)
+        assert w.deps_for(make_action([wr(buf, 0, 100)])) == [both]
+        assert w2.deps_for(make_action([wr(buf, 40, 20)])) == [both]
+
+    def test_cover_is_per_probe_interval(self, buf):
+        other = Buffer(ProxyAddressSpace(), nbytes=4096)
+        w = StreamWindow()
+        a = make_action([wr(buf, 0, 64)])
+        b = make_action([wr(other, 0, 64)])
+        c = make_action([wr(buf, 0, 64)])
+        for x in (a, b, c):
+            w.add(x)
+        # `c` hides `a` on buf; nothing hides `b` on the other buffer.
+        probe = make_action([rd(buf, 0, 64), rd(other, 0, 64)])
+        assert w.deps_for(probe) == [b, c]
+
+    def test_barrier_still_cuts_off_before_coverage_does(self, buf):
+        w = StreamWindow()
+        old = make_action([wr(buf, 0, 100)])
+        bar = make_action([], barrier=True)
+        part = make_action([wr(buf, 0, 50)])
+        for x in (old, bar, part):
+            w.add(x)
+        assert w.deps_for(make_action([rd(buf, 0, 100)])) == [bar, part]
+
+
+class TestStrictFifoNewestLive:
+    """StrictFifoPolicy takes one element of the live set: O(1), not a
+    copy of the window."""
+
+    DEPTH = 5000
+
+    def _deep_window(self, buf):
+        w = StreamWindow(strict_fifo=True)
+        actions = []
+        for i in range(self.DEPTH):
+            a = make_action([wr(buf, 0, 8)])
+            a.completion = CountingEvent()
+            w.add(a)
+            actions.append(a)
+        return w, actions
+
+    def test_enqueue_at_depth_polls_one_entry_and_copies_nothing(self, buf):
+        import tracemalloc
+
+        w, actions = self._deep_window(buf)
+        probe = make_action([wr(buf, 0, 8)])
+        CountingEvent.polls = 0
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            deps = w.deps_for(probe)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert deps == [actions[-1]]
+        assert CountingEvent.polls == 1
+        # A copy of the 5000-entry live set is ~40 KB of pointers.
+        assert peak < 2048
+
+    def test_completed_tail_is_dropped_lazily(self, buf):
+        w, actions = self._deep_window(buf)
+        for a in actions[-10:]:
+            a.completion.complete()
+        CountingEvent.polls = 0
+        assert w.deps_for(make_action([wr(buf, 0, 8)])) == [actions[-11]]
+        assert CountingEvent.polls == 11
+        assert w.in_flight == self.DEPTH - 10
+        assert w.retired_count == 10

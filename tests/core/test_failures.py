@@ -20,6 +20,7 @@ from repro import (
     make_platform,
     mark_transient,
 )
+from repro.core.actions import OperandMode
 from repro.core.errors import HStreamsCancelled, HStreamsTimedOut
 from repro.sim.kernels import dgemm
 
@@ -731,3 +732,73 @@ class TestCancelledExceptionType:
         assert HStreamsCancelled.code == "HSTR_RESULT_CANCELLED"
         hs.clear_failure()
         hs.fini()
+
+
+class TestReducedEdgesCancelTheSameSet:
+    """The scheduler wires the transitive reduction of the conflict
+    relation; a failure must still cancel exactly what it would with
+    every conflicting pair wired (the full-set oracle policy)."""
+
+    def _final_states(self, backend, policy, naive):
+        import threading
+
+        from tests.oracle import NaiveRelaxedPolicy
+
+        gate = threading.Event()
+        hs = runtime(
+            backend,
+            failure_policy=policy,
+            config=RuntimeConfig(retry_limit=2, retry_backoff_s=1e-4),
+        )
+        try:
+            register(hs, "hold", lambda *a: gate.wait(10.0))
+            register(hs, "flaky", lambda *a: None)
+            register(hs, "step", lambda *a: None)
+            arm_failure(hs, "flaky", transient=(policy == "retry"))
+            s = hs.stream_create(domain=1, ncores=4)
+            if naive:
+                s.window.policy = NaiveRelaxedPolicy()
+            a = hs.buffer_create(nbytes=64)
+            b = hs.buffer_create(nbytes=64)
+            c = hs.buffer_create(nbytes=64)
+            rng = a.range
+            # Nothing runs until the whole program is admitted: the
+            # thread backend parks on the gate, sim waits for the sync.
+            hs.enqueue_compute(s, "hold", args=(a.all_inout(),))
+            hs.enqueue_compute(s, "flaky", args=(rng(0, 32),))
+            hs.enqueue_compute(s, "step", args=(rng(32, 32),))
+            hs.enqueue_compute(
+                s, "step", args=(a.range(0, 64, OperandMode.IN), b.all_inout())
+            )
+            hs.enqueue_compute(s, "step", args=(rng(0, 32),))
+            hs.enqueue_compute(s, "step", args=(b.range(0, 64, OperandMode.IN),))
+            hs.enqueue_compute(s, "step", args=(a.all_inout(),))
+            hs.enqueue_compute(s, "step", args=(c.all_inout(),))
+            gate.set()
+            try:
+                hs.thread_synchronize()
+            except InjectedFault:
+                hs.clear_failure()
+            m = hs.metrics()
+            records = sorted(m["records"], key=lambda r: r.seq)
+            counts = dict(m["actions"])
+            edges = counts.pop("dep_edges")
+            return [r.state for r in records], counts, edges
+        finally:
+            gate.set()
+            hs.fini()
+
+    @pytest.mark.parametrize("backend", ["thread", "sim"])
+    @pytest.mark.parametrize("policy", ["poison", "retry", "fail_fast"])
+    def test_same_final_states_as_the_full_edge_set(self, backend, policy):
+        states, counts, edges = self._final_states(backend, policy, naive=False)
+        full_states, full_counts, full_edges = self._final_states(
+            backend, policy, naive=True
+        )
+        assert states == full_states
+        assert counts == full_counts
+        assert edges < full_edges  # the program does exercise the cut-off
+        if policy == "retry":
+            assert set(states) == {"complete"} and counts["retried"] == 1
+        else:
+            assert states[1] == "failed" and "cancelled" in states
