@@ -21,9 +21,14 @@ Benches:
   plus allocated heap blocks per enqueue.
 * ``dispatch_throughput`` — end-to-end actions/second for dependence-
   free no-op computes on all three backends (thread, sim, process).
-  The process number prices one IPC round trip per action; it exists
-  to make that cost visible next to the in-process backends, not to
-  win.
+  The process number prices one pipelined IPC command per action; it
+  exists to make that cost visible next to the in-process backends,
+  not to win.
+* ``live_threads`` — OS threads a thread-backend runtime keeps alive
+  with 10 000 live streams that each ran one action. Streams are slots
+  in a per-domain worker set bounded by the device's cores, so the
+  count is the host device's core count however many streams exist.
+  Gated against the bar itself: host cores + transfer workers + 2.
 * ``cpu_scaling`` — a deliberately GIL-bound pure-Python matmul kernel
   spread over two card domains, thread backend vs process backend at
   identical DAG shape. The thread backend serialises the Python
@@ -346,6 +351,45 @@ def bench_dispatch_throughput(rows: List[PerfRow], count: int) -> None:
                 backend,
             )
         )
+
+
+def bench_live_threads(rows: List[PerfRow], streams: int) -> None:
+    """Threads alive for ``streams`` live streams that each ran an action.
+
+    Every stream's one kernel blocks on a gate until all are enqueued,
+    so the host domain's worker set grows to its bound — the device's
+    core count — and the row is a deterministic count, not a race
+    between the enqueue loop and the workers. Reported as the threads
+    the runtime added to the process, so it reads the same from the
+    CLI and from inside a test run.
+    """
+    import threading
+
+    from repro.core.runtime import HStreams
+
+    gate = threading.Event()
+    before = threading.active_count()
+    hs = HStreams(backend="thread", trace=False)
+    hs.register_kernel("hold", fn=gate.wait)
+    try:
+        for _ in range(streams):
+            hs.enqueue_compute(hs.stream_create(domain=0, ncores=1), "hold")
+        gate.set()
+        hs.thread_synchronize()
+        live = threading.active_count() - before
+    finally:
+        gate.set()
+        hs.fini()
+    rows.append(
+        PerfRow(
+            f"live_threads:{streams // 1000}k_streams:thread",
+            "os_threads",
+            live,
+            GATED_UNIT,
+            streams,
+            "thread",
+        )
+    )
 
 
 def bench_cpu_scaling(
@@ -942,6 +986,7 @@ def run_suite(
     bench_enqueue_scan(rows, depths, probes)
     bench_enqueue_admission(rows, depths, measure)
     bench_dispatch_throughput(rows, count)
+    bench_live_threads(rows, 1000 if quick else 10000)
     bench_cpu_scaling(
         rows, reps=4 if quick else 12, actions=3 if quick else 6, gate=not quick
     )

@@ -10,15 +10,18 @@ every card-domain buffer instance with a POSIX shared-memory segment
   thread backend's single ``np.copyto`` memcpys over shared mappings
   (host-as-target transfers and elided transfers remain zero-copy);
 * card-domain compute actions are shipped to the owning domain's worker
-  over a per-worker command queue; the worker resolves operand specs to
+  over one duplex pipe per worker; the worker resolves operand specs to
   numpy views of the same segments and runs the kernel with its *own*
   interpreter and its own GIL — CPU-bound kernels on different domains
   genuinely overlap;
-* a completion pump thread drains one shared done-queue, matches
-  completions to in-flight actions, and wakes the stream-slot thread
-  that dispatched them, which then reports through the inherited
-  :meth:`ThreadBackend._run` epilogue — so ``on_start``/``on_complete``
-  ordering, fault injection, the post-hoc action timeout, tracing, and
+* nothing on the host waits for a shipped compute. The domain worker
+  thread that dispatched it runs the thread backend's prologue
+  (``on_start``, fault injection), writes the command and returns to
+  its slot, so a stream's consecutive ready computes pipeline into the
+  (serial) worker process. One completion pump thread blocks on every
+  worker's pipe and process sentinel and runs the thread backend's
+  epilogue (post-hoc action timeout, tracing, ``on_complete``) for each
+  completion it reads — so lifecycle ordering, fault injection and
   retry backoff behave cell-for-cell like the thread backend.
 
 Everything that is not a card-domain compute (transfers, host-domain
@@ -49,20 +52,31 @@ the evict hook runs, the host-side ``close()`` is deferred to a
 graveyard drained once the view is gone (``shm.close()`` raises
 ``BufferError`` while exports exist).
 
-Worker death (kill/OOM/segfault) is detected by the pump via
-``Process.exitcode``: every action in flight on the dead worker fails
-with a transient :class:`~repro.core.errors.HStreamsBackendDied`, so
-waits never hang — under ``failure_policy="retry"`` the next dispatch
-respawns a fresh worker and the action re-runs there.
+Worker death (kill/OOM/segfault) wakes the pump through the process
+sentinel: it first delivers the completions the worker managed to
+write, then fails every action still in flight there with a transient
+:class:`~repro.core.errors.HStreamsBackendDied`, so waits never hang —
+under ``failure_policy="retry"`` the next dispatch spawns a fresh
+worker and the action re-runs there.
+
+Locking: one condition, ``backend.process``, guards workers, segments,
+in-flight commands and the counters. Its lock is a leaf — nothing is
+acquired under it and it is never held across a call into the
+scheduler. Pipe writes happen under it (they order a stream's commands
+and serialize the streams sharing a worker); they cannot wedge the pump
+because at most :data:`_MAX_INFLIGHT` commands are outstanding per
+worker, which keeps the completion direction of the pipe from ever
+filling, so the worker always gets back to reading.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import pickle
-import queue as _queue
+import struct
 import threading
 import time
+from multiprocessing import connection as mp_connection
 from multiprocessing import shared_memory
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -76,9 +90,24 @@ from repro.core.errors import (
     is_transient,
     mark_transient,
 )
+from repro.core.sync import caller_locked, guarded_by, make_condition
 from repro.core.thread_backend import ThreadBackend
 
 __all__ = ["ProcessBackend"]
+
+#: Commands outstanding per worker. Small enough that their completions
+#: always fit the pipe (see "Locking" above), large enough that a
+#: wave of ready computes pipelines without a shipper ever waiting.
+_MAX_INFLIGHT = 32
+
+# Host -> worker wire format: an 8-byte header, then at most one pickle.
+# The header is the action's seq (>= 0: execute ``(kernel name, callable
+# or None, operand specs)``) or a control code. Keeping it outside the
+# pickle lets the worker report a command it cannot unpickle against
+# the right action.
+_HEADER = struct.Struct("<q")
+_FORGET = -1  # body: pickled segment name
+_STOP = -2  # no body
 
 
 # ---------------------------------------------------------------------------
@@ -143,32 +172,37 @@ def _worker_resolve(cache: Dict[str, shared_memory.SharedMemory], spec: Tuple):
     raise ValueError(f"unknown operand spec tag {tag!r}")
 
 
-def _worker_main(domain: int, cmd_q, done_q, kernels: Dict[str, Any]) -> None:
+def _worker_main(domain: int, conn) -> None:
     """Per-domain worker loop: attach segments, run kernels, report."""
     _worker_detach_resource_tracker()
     cache: Dict[str, shared_memory.SharedMemory] = {}
-    fns: Dict[str, Any] = dict(kernels)
+    fns: Dict[str, Any] = {}
     while True:
-        cmd = cmd_q.get()
-        if cmd is None:
+        try:
+            data = conn.recv_bytes()
+        except EOFError:  # host end closed without a stop
             break
-        tag = cmd[0]
-        if tag == "forget":
-            seg = cache.pop(cmd[1], None)
+        (seq,) = _HEADER.unpack_from(data)
+        body = memoryview(data)[_HEADER.size:]
+        if seq == _STOP:
+            break
+        if seq == _FORGET:
+            name = pickle.loads(body)
+            seg = cache.pop(name, None)
             if seg is not None:
                 try:
                     seg.close()
                 except BufferError:  # pragma: no cover - no views outlive exec
-                    cache[cmd[1]] = seg
+                    cache[name] = seg
             continue
-        # ("exec", seq, kernel_name, fn_bytes_or_None, arg_specs)
-        _, seq, kname, fn_bytes, specs = cmd
         t0 = time.perf_counter()
         err_bytes = None
         transient = False
         try:
-            if fn_bytes is not None:
-                fns[kname] = pickle.loads(fn_bytes)
+            kname, fn, specs = pickle.loads(body)
+            t0 = time.perf_counter()
+            if fn is not None:
+                fns[kname] = fn
             fn = fns[kname]
             args = [_worker_resolve(cache, s) for s in specs]
             fn(*args)
@@ -181,9 +215,7 @@ def _worker_main(domain: int, cmd_q, done_q, kernels: Dict[str, Any]) -> None:
                 err_bytes = pickle.dumps(
                     RuntimeError(f"{type(exc).__name__}: {exc}")
                 )
-        done_q.put(
-            ("done", domain, seq, time.perf_counter() - t0, err_bytes, transient)
-        )
+        conn.send((seq, time.perf_counter() - t0, err_bytes, transient))
     for seg in cache.values():
         try:
             seg.close()
@@ -213,35 +245,27 @@ class _Segment:
 class _Worker:
     """One spawned worker process plus its command-side state."""
 
-    __slots__ = ("domain", "process", "cmd_q", "known_kernels", "inflight")
+    __slots__ = ("domain", "process", "conn", "kernels", "inflight")
 
-    def __init__(self, domain: int, process, cmd_q, known_kernels: Set[str]):
+    def __init__(self, domain: int, process, conn):
         self.domain = domain
         self.process = process
-        self.cmd_q = cmd_q
-        #: Kernel names the worker already holds a callable for.
-        self.known_kernels = known_kernels
-        #: Action seqs shipped but not yet completed (for death reaping).
-        self.inflight: Set[int] = set()
+        #: Host end of the duplex pipe: commands out, completions in.
+        self.conn = conn
+        #: Kernel callables the worker was sent, by registered name.
+        self.kernels: Dict[str, Any] = {}
+        #: Commands written but not yet completed, by action seq:
+        #: ``(action, start, shipped_at)``. Insertion order is ship
+        #: order, which is the order death reaping fails them in.
+        self.inflight: Dict[int, Tuple[Action, float, float]] = {}
 
 
-class _Remote:
-    """Host-side wait state for one action executing in a worker."""
-
-    __slots__ = ("event", "domain", "error", "duration")
-
-    def __init__(self, domain: int):
-        self.event = threading.Event()
-        self.domain = domain
-        self.error: Optional[BaseException] = None
-        self.duration = 0.0
-
-
+@guarded_by(
+    "_cv", "_segments", "_workers", "_shipped", "_ever_died", "_m",
+    "_pump_thread", "_stopping",
+)
 class ProcessBackend(ThreadBackend):
     """One worker process per domain over shared-memory buffer instances."""
-
-    #: How often the completion pump checks worker liveness when idle.
-    _REAP_INTERVAL_S = 0.1
 
     def __init__(self, xfer_workers: int = 4, start_method: Optional[str] = None):
         super().__init__(xfer_workers)
@@ -256,67 +280,69 @@ class ProcessBackend(ThreadBackend):
 
     def attach(self, runtime) -> None:
         super().attach(runtime)
-        # One lock guards workers, segments, in-flight actions, and the
-        # metric counters. It is a leaf lock: nothing is acquired under
-        # it, and the scheduler lock is never taken while holding it.
-        self._plock = threading.Lock()
-        self._segments: Dict[Tuple[int, int], _Segment] = {}
+        # Guards everything below; waited on by shippers (in-flight
+        # window full) and host-side fallback computes (stream's shipped
+        # computes not yet drained), notified by the pump.
+        self._cv = make_condition(
+            None, "backend.process", sanitizer=getattr(runtime, "sanitizer", None)
+        )
         self._graveyard: List[shared_memory.SharedMemory] = []
-        self._workers: Dict[int, _Worker] = {}
-        self._inflight: Dict[int, _Remote] = {}
-        self._ever_died: Set[int] = set()
-        self._done_q = None
-        self._pump_thread: Optional[threading.Thread] = None
-        self._pump_stop = threading.Event()
-        self._m: Dict[str, float] = {
-            "remote_actions": 0,
-            "fallback_actions": 0,
-            "commands_sent": 0,
-            "worker_deaths": 0,
-            "respawns": 0,
-            "bytes_zero_copy": 0,
-            "bytes_copied": 0,
-            "segments_created": 0,
-            "segments_unlinked": 0,
-            "ipc_wait_s": 0.0,
-            "worker_exec_s": 0.0,
-        }
+        # Wakes the pump out of its wait when the worker set changes.
+        self._wake_r, self._wake_w = self._mp.Pipe(duplex=False)
+        with self._cv:  # attach is construction, but the lint only knows __init__
+            self._segments: Dict[Tuple[int, int], _Segment] = {}
+            self._workers: Dict[int, _Worker] = {}
+            #: Computes in flight in a worker, by stream id; an entry
+            #: exists only while its count is positive.
+            self._shipped: Dict[int, int] = {}
+            self._ever_died: Set[int] = set()
+            self._pump_thread: Optional[threading.Thread] = None
+            self._stopping = False
+            self._m: Dict[str, float] = {
+                "remote_actions": 0,
+                "fallback_actions": 0,
+                "commands_sent": 0,
+                "worker_deaths": 0,
+                "respawns": 0,
+                "bytes_zero_copy": 0,
+                "bytes_copied": 0,
+                "segments_created": 0,
+                "segments_unlinked": 0,
+                "ipc_wait_s": 0.0,
+                "worker_exec_s": 0.0,
+            }
 
     def close(self) -> None:
-        # Drain the stream/xfer pools first: no new dispatches after this.
+        # Drain the domain workers and the xfer pool first: no new
+        # dispatches after this.
         super().close()
-        with self._plock:
+        with self._cv:
             workers = list(self._workers.values())
             self._workers.clear()
+            pump = self._pump_thread
+            self._stopping = True
+            self._wake_w.send_bytes(b"x")
+        # The pump goes first, so the exits below are not taken for deaths.
+        if pump is not None:
+            pump.join(timeout=2.0)
         for w in workers:
             try:
-                w.cmd_q.put(None)
-            except Exception:
+                w.conn.send_bytes(_HEADER.pack(_STOP))
+            except OSError:
                 pass
         for w in workers:
             w.process.join(timeout=2.0)
             if w.process.is_alive():  # pragma: no cover - stuck worker
                 w.process.terminate()
                 w.process.join(timeout=1.0)
-            try:
-                w.cmd_q.close()
-            except Exception:
-                pass
-        self._pump_stop.set()
-        if self._pump_thread is not None:
-            self._pump_thread.join(timeout=2.0)
-            self._pump_thread = None
-        if self._done_q is not None:
-            try:
-                self._done_q.close()
-            except Exception:
-                pass
-            self._done_q = None
+            w.conn.close()
+        self._wake_r.close()
+        self._wake_w.close()
         # fini() does not destroy live buffers; unlink whatever remains
         # so no /dev/shm entry outlives the runtime. The host-side
         # close() of still-viewed segments stays deferred (the caller
         # may hold wrapped arrays); unlink alone removes the leak.
-        with self._plock:
+        with self._cv:
             segs = list(self._segments.values())
             self._segments.clear()
         for seg in segs:
@@ -333,7 +359,7 @@ class ProcessBackend(ThreadBackend):
             return super().make_instance(buf, domain)
         shm = shared_memory.SharedMemory(create=True, size=max(1, buf.nbytes))
         seg = _Segment(shm, buf.nbytes)
-        with self._plock:
+        with self._cv:
             self._segments[(buf.uid, domain)] = seg
             self._m["segments_created"] += 1
         # Linux zero-fills fresh segments, matching np.zeros parity.
@@ -344,27 +370,24 @@ class ProcessBackend(ThreadBackend):
             self._release_segment((buf.uid, domain))
 
     def on_buffer_destroy(self, buf: Buffer) -> None:
-        with self._plock:
+        with self._cv:
             keys = [k for k in self._segments if k[0] == buf.uid]
         for key in keys:
             self._release_segment(key)
 
     def _release_segment(self, key: Tuple[int, int]) -> None:
-        with self._plock:
+        with self._cv:
             seg = self._segments.pop(key, None)
             if seg is None:
                 return
-            holders = [
-                self._workers.get(d)
-                for d in seg.attached
-                if d in self._workers
-            ]
-        for w in holders:
-            if w is not None and w.process.is_alive():
-                try:
-                    w.cmd_q.put(("forget", seg.name))
-                except Exception:
-                    pass
+            forget = _HEADER.pack(_FORGET) + pickle.dumps(seg.name)
+            for domain in seg.attached:
+                w = self._workers.get(domain)
+                if w is not None:
+                    try:
+                        w.conn.send_bytes(forget)
+                    except OSError:  # dead worker: the pump reaps it
+                        pass
         self._unlink(seg)
         self._drain_graveyard()
 
@@ -375,7 +398,7 @@ class ProcessBackend(ThreadBackend):
                 seg.shm.unlink()
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
-            with self._plock:
+            with self._cv:
                 self._m["segments_unlinked"] += 1
         # The manager deletes the instance's numpy view only after the
         # evict hook returns, so the export is still alive here — defer
@@ -393,101 +416,84 @@ class ProcessBackend(ThreadBackend):
 
     def live_segment_names(self) -> List[str]:
         """Names of segments currently backing instances (test hook)."""
-        with self._plock:
+        with self._cv:
             return sorted(seg.name for seg in self._segments.values())
 
     # -- workers ----------------------------------------------------------------
 
-    def _kernel_snapshot(self) -> Dict[str, Any]:
-        """Registered kernels a new worker can start with.
+    @caller_locked("_cv")
+    def _spawn_worker(self, domain: int) -> _Worker:
+        """Start ``domain``'s worker (and, the first time, the pump).
 
-        Only picklable callables make the cut — even under ``fork``,
-        where the child technically inherits closures by memory image.
-        See the module docstring: picklability is the semantic gate for
-        remote execution, not just the spawn transport's constraint.
-        Kernels registered after the worker spawned ship per-command
-        (same gate) or fall back to host execution.
+        Workers start with no kernels: each callable is shipped with
+        the first command that names it.
         """
-        out: Dict[str, Any] = {}
-        for name, spec in self.runtime._kernels.items():
-            fn = getattr(spec, "fn", None)
-            if fn is None:
-                continue
-            try:
-                pickle.dumps(fn)
-            except Exception:
-                continue
-            out[name] = fn
-        return out
-
-    def _ensure_worker(self, domain: int) -> _Worker:
-        """Return a live worker for ``domain``, spawning (or respawning
-        after a death) as needed. Caller holds ``self._plock``."""
-        w = self._workers.get(domain)
-        if w is not None and w.process.exitcode is None:
-            return w
-        if w is not None:
-            # Died between pump reaps; reap now so its in-flight actions
-            # fail instead of hanging behind the fresh worker.
-            self._reap_locked(domain, w)
-        if self._done_q is None:
-            self._done_q = self._mp.Queue()
         if self._pump_thread is None:
             self._pump_thread = threading.Thread(
                 target=self._pump, name="hstr-pump", daemon=True
             )
             self._pump_thread.start()
-        cmd_q = self._mp.Queue()
-        kernels = self._kernel_snapshot()
+        host_end, worker_end = self._mp.Pipe()
         proc = self._mp.Process(
             target=_worker_main,
-            args=(domain, cmd_q, self._done_q, kernels),
+            args=(domain, worker_end),
             name=f"hstr-worker-d{domain}",
             daemon=True,
         )
         proc.start()
-        w = _Worker(domain, proc, cmd_q, set(kernels))
+        # The child holds its own copy; with ours closed, writing to a
+        # dead worker fails instead of filling a pipe nobody reads.
+        worker_end.close()
+        w = _Worker(domain, proc, host_end)
         self._workers[domain] = w
         if domain in self._ever_died:
             self._m["respawns"] += 1
+        self._wake_w.send_bytes(b"x")
         return w
 
     # -- execution ----------------------------------------------------------------
 
+    def _run(self, action: Action, delay: float = 0.0) -> None:
+        stream = action.stream
+        assert stream is not None
+        if action.kind is not ActionKind.COMPUTE or stream.domain == 0:
+            super()._run(action, delay)
+            return
+        self._backoff(delay)
+        start, error = self._prologue(action)
+        if error is None:
+            try:
+                if self._ship(action, start):
+                    return  # the pump runs the epilogue
+                self._execute(action)
+            except BaseException as exc:  # noqa: BLE001 - surfaced at next sync
+                error = exc
+        end = self.now()
+        self._epilogue(action, start, end, error, end - start)
+
     def _execute(self, action: Action) -> None:
-        assert action.stream is not None
         if action.kind is ActionKind.XFER:
+            assert action.stream is not None
             op = action.operands[0]
-            with self._plock:
+            with self._cv:
                 if action.stream.domain == 0 or action.elided:
                     self._m["bytes_zero_copy"] += op.nbytes
                 else:
                     self._m["bytes_copied"] += op.nbytes
-            super()._execute(action)
-            return
-        if action.kind is ActionKind.COMPUTE and action.stream.domain != 0:
-            spec = self.runtime.kernel(action.kernel)
-            if spec.fn is not None and self._execute_remote(action, spec):
-                return
-            with self._plock:
-                self._m["fallback_actions"] += 1
         super()._execute(action)
 
-    def _remote_plan(
-        self, action: Action, spec, worker: _Worker
-    ) -> Optional[Tuple[Tuple, List[_Segment]]]:
-        """Build the picklable exec command, or None to fall back host-side.
+    @caller_locked("_cv")
+    def _command(self, action: Action, worker: _Worker) -> Optional[bytes]:
+        """The wire form of a card compute, or None to run it host-side.
 
-        Caller holds ``self._plock``.
+        The one ``pickle.dumps`` is the remote-eligibility gate: a
+        kernel or argument that does not pickle keeps the action here.
         """
-        fn_bytes = None
-        if action.kernel not in worker.known_kernels:
-            try:
-                fn_bytes = pickle.dumps(spec.fn)
-            except Exception:
-                return None
         assert action.stream is not None
         domain = action.stream.domain
+        fn = self.runtime.kernel(action.kernel).fn
+        if fn is None:
+            return None
         specs: List[Tuple] = []
         touched: List[_Segment] = []
         for item in action.args:
@@ -507,76 +513,96 @@ class ProcessBackend(ThreadBackend):
                 specs.append(("flat", seg.name, item.nbytes))
                 touched.append(seg)
             else:
-                try:
-                    pickle.dumps(item)
-                except Exception:
-                    return None
                 specs.append(("obj", item))
-        return ("exec", action.seq, action.kernel, fn_bytes, specs), touched
+        known = worker.kernels.get(action.kernel) is fn
+        try:
+            body = pickle.dumps((action.kernel, None if known else fn, specs))
+        except Exception:
+            return None
+        worker.kernels[action.kernel] = fn
+        for seg in touched:
+            seg.attached.add(domain)
+        return _HEADER.pack(action.seq) + body
 
-    def _execute_remote(self, action: Action, spec) -> bool:
-        """Ship a card compute to its domain worker and wait for it.
+    def _ship(self, action: Action, start: float) -> bool:
+        """Write a card compute to its domain's worker; False to fall back.
 
-        Runs on the stream's single host-side slot thread, so stream
-        ordering and the inherited ``_run`` epilogue (timeout, tracing,
-        ``on_complete``) are untouched. Returns False to fall back.
+        Runs on a domain worker thread, which returns to its slot as
+        soon as the command is written. A fallback first waits for the
+        stream's shipped computes to drain, so mixing remote and
+        host-side kernels in one stream stays serial.
         """
-        assert action.stream is not None
-        with self._plock:
-            worker = self._ensure_worker(action.stream.domain)
-            plan = self._remote_plan(action, spec, worker)
-            if plan is None:
+        stream = action.stream
+        assert stream is not None
+        domain = stream.domain
+        with self._cv:
+            while True:
+                worker = self._workers.get(domain)
+                if worker is None:
+                    worker = self._spawn_worker(domain)
+                if len(worker.inflight) < _MAX_INFLIGHT:
+                    break
+                self._cv.wait()
+            command = self._command(action, worker)
+            if command is None:
+                while self._shipped.get(stream.id):
+                    self._cv.wait()
+                self._m["fallback_actions"] += 1
                 return False
-            cmd, touched = plan
-            entry = _Remote(worker.domain)
-            self._inflight[action.seq] = entry
-            worker.inflight.add(action.seq)
-            for seg in touched:
-                seg.attached.add(worker.domain)
-            if cmd[3] is not None:
-                worker.known_kernels.add(action.kernel)
-            try:
-                worker.cmd_q.put(cmd)
-            except Exception:
-                self._inflight.pop(action.seq, None)
-                worker.inflight.discard(action.seq)
-                return False
+            worker.inflight[action.seq] = (action, start, self.now())
+            self._shipped[stream.id] = self._shipped.get(stream.id, 0) + 1
             self._m["remote_actions"] += 1
             self._m["commands_sent"] += 1
-        t0 = time.perf_counter()
-        entry.event.wait()
-        waited = time.perf_counter() - t0
-        with self._plock:
-            self._m["ipc_wait_s"] += waited
-            self._m["worker_exec_s"] += entry.duration
-        if entry.error is not None:
-            raise entry.error
+            try:
+                worker.conn.send_bytes(command)
+            except OSError:
+                # The worker died under us. The command stays in flight:
+                # the pump's reaping fails it with the rest.
+                pass
         return True
 
     # -- completion pump ----------------------------------------------------------
 
     def _pump(self) -> None:
-        while not self._pump_stop.is_set():
-            try:
-                msg = self._done_q.get(timeout=self._REAP_INTERVAL_S)
-            except (_queue.Empty, OSError, ValueError):
-                if self._pump_stop.is_set():
-                    break
-                self._reap_dead_workers()
-                continue
-            self._deliver(msg)
+        while True:
+            with self._cv:
+                if self._stopping:
+                    return
+                workers = list(self._workers.values())
+            waitables = [self._wake_r]
+            for w in workers:
+                waitables += (w.conn, w.process.sentinel)
+            ready = mp_connection.wait(waitables)
+            if self._wake_r in ready:
+                self._wake_r.recv_bytes()
+            for w in workers:
+                dead = w.process.sentinel in ready
+                if dead or w.conn in ready:
+                    # Completions written before a death are delivered
+                    # first, so only truly lost actions fail.
+                    self._drain(w)
+                if dead:
+                    self._reap(w)
 
-    def _deliver(self, msg: Tuple) -> None:
-        _, domain, seq, duration, err_bytes, transient = msg
-        with self._plock:
-            entry = self._inflight.pop(seq, None)
-            w = self._workers.get(domain)
-            if w is not None:
-                w.inflight.discard(seq)
-        if entry is None:
-            # Already failed by death reaping (the completion raced the
-            # exit notice) — the scheduler has the final say on retries.
-            return
+    def _drain(self, w: _Worker) -> None:
+        """Deliver every completion already in ``w``'s pipe."""
+        while True:
+            try:
+                if not w.conn.poll():
+                    return
+                msg = w.conn.recv()
+            except (EOFError, OSError):
+                return
+            self._deliver(w, msg)
+
+    def _deliver(self, w: _Worker, msg: Tuple) -> None:
+        seq, duration, err_bytes, transient = msg
+        end = self.now()
+        with self._cv:
+            action, start, shipped_at = w.inflight.pop(seq)
+            self._settle(action)
+            self._m["ipc_wait_s"] += end - shipped_at
+            self._m["worker_exec_s"] += duration
         error: Optional[BaseException] = None
         if err_bytes is not None:
             try:
@@ -587,60 +613,60 @@ class ProcessBackend(ThreadBackend):
                 )
             if transient:
                 mark_transient(error)
-        entry.duration = duration
-        entry.error = error
-        entry.event.set()
+        # The budget is judged on the kernel's own duration: start -> end
+        # also counts queueing behind the stream's earlier commands.
+        self._epilogue(action, start, end, error, duration)
 
-    def _reap_dead_workers(self) -> None:
-        with self._plock:
-            dead = [
-                (d, w)
-                for d, w in list(self._workers.items())
-                if w.process.exitcode is not None
-            ]
-        if not dead:
-            return
-        # Completions may have been queued before the worker died;
-        # deliver those first so only truly lost actions fail.
-        while True:
-            try:
-                msg = self._done_q.get_nowait()
-            except (_queue.Empty, OSError, ValueError):
-                break
-            self._deliver(msg)
-        with self._plock:
-            for domain, w in dead:
-                if self._workers.get(domain) is w:
-                    self._reap_locked(domain, w)
+    @caller_locked("_cv")
+    def _settle(self, action: Action) -> None:
+        """One shipped compute of ``action``'s stream left the worker."""
+        assert action.stream is not None
+        sid = action.stream.id
+        left = self._shipped[sid] - 1
+        if left:
+            self._shipped[sid] = left
+        else:
+            del self._shipped[sid]
+        self._cv.notify_all()
 
-    def _reap_locked(self, domain: int, w: _Worker) -> None:
-        """Fail a dead worker's in-flight actions. Caller holds ``_plock``."""
-        self._workers.pop(domain, None)
-        self._ever_died.add(domain)
-        self._m["worker_deaths"] += 1
-        for seq in sorted(w.inflight):
-            entry = self._inflight.pop(seq, None)
-            if entry is None:
-                continue
-            entry.error = mark_transient(
+    def _reap(self, w: _Worker) -> None:
+        """Fail everything still in flight on a dead worker."""
+        with self._cv:
+            if self._workers.get(w.domain) is not w:
+                return  # close() took it
+            del self._workers[w.domain]
+            self._ever_died.add(w.domain)
+            self._m["worker_deaths"] += 1
+            lost = list(w.inflight.items())
+            w.inflight.clear()
+            for _, (action, _, _) in lost:
+                self._settle(action)
+        w.conn.close()
+        w.process.join()
+        for seq, (action, start, _) in lost:
+            end = self.now()
+            error = mark_transient(
                 HStreamsBackendDied(
-                    f"worker process for domain {domain} "
+                    f"worker process for domain {w.domain} "
                     f"(pid {w.process.pid}) exited with code "
                     f"{w.process.exitcode} with action seq {seq} in flight"
                 )
             )
-            entry.event.set()
-        w.inflight.clear()
-        try:
-            w.cmd_q.close()
-        except Exception:
-            pass
+            self._epilogue(action, start, end, error, end - start)
 
     # -- observability ------------------------------------------------------------
 
     def backend_metrics(self) -> Dict[str, Any]:
-        """The ``metrics()["backend"]`` block: IPC and segment counters."""
-        with self._plock:
+        """The ``metrics()["backend"]`` block: IPC and segment counters.
+
+        ``ipc_round_trip_s`` is the mean of (command written ->
+        completion delivered) minus the worker-measured kernel time.
+        With commands pipelined, the first term includes queueing
+        behind the stream's earlier commands in the worker, so this
+        figure *rises* with pipelining depth while the cost per action
+        falls; read throughput off ``remote_actions`` over wall time.
+        """
+        with self._cv:
             m = dict(self._m)
             workers = {
                 d: {

@@ -7,10 +7,16 @@ copy bytes between per-domain instances.
 
 Mapping of the paper's resources:
 
-* each stream's compute slot is one single-worker executor — compute
-  tasks in a stream serialize (the sink's cores run one task at a time)
-  but may start in *readiness* order, i.e. out of FIFO order when
-  operands don't conflict;
+* the sink endpoint is a *domain plus a CPU mask*, not a thread, so the
+  partition is the executor: each domain owns one bounded worker set
+  (:class:`_DomainWorkers`) and a stream is a *slot* in it — a
+  ``running`` flag plus a pending FIFO. Compute tasks in a stream
+  serialize (the sink's cores run one task at a time) and run in
+  dispatch order, which is *readiness* order, i.e. out of FIFO order
+  when operands don't conflict; streams of one domain overlap. A
+  domain never runs more workers than ``min(live streams, device
+  cores)``, so creating or destroying a stream is a dictionary update
+  and 10 000 idle streams cost no thread;
 * transfers run on a separate DMA-like worker pool, so they overlap with
   compute exactly as PCIe DMA engines do;
 * per-domain address spaces are separate numpy allocations; the host
@@ -31,10 +37,12 @@ and keeps re-raising until ``HStreams.clear_failure()``.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,9 +51,151 @@ from repro.core.backend import Backend
 from repro.core.buffer import Buffer
 from repro.core.errors import HStreamsInternalError, HStreamsTimedOut
 from repro.core.events import HEvent
-from repro.core.sync import make_condition
+from repro.core.sync import guarded_by, make_condition
 
 __all__ = ["ThreadBackend"]
+
+_TRACE_KIND = {
+    ActionKind.COMPUTE: "compute",
+    ActionKind.XFER: "transfer",
+    ActionKind.SYNC: "sync",
+}
+
+
+class _Slot:
+    """One stream's place in its domain's worker set.
+
+    ``running`` is set while the slot is queued for, or held by, a
+    worker — at most one worker at a time, which is what serializes a
+    stream's computes. ``pending`` holds its dispatched ``(action,
+    delay)`` pairs in the order they will run. Both are guarded by the
+    owning :class:`_DomainWorkers` lock.
+    """
+
+    __slots__ = ("running", "pending")
+
+    def __init__(self) -> None:
+        self.running = False
+        self.pending: Deque[Tuple[Action, float]] = deque()
+
+
+@guarded_by("_cv", "_slots", "_ready", "_idle", "_threads", "_closing")
+class _DomainWorkers:
+    """One domain's executor: a bounded worker set draining stream slots.
+
+    A worker takes the slot at the head of the ready queue, runs one of
+    its pending actions outside the lock, then — in one lock hold —
+    puts the slot back behind the other ready slots if it has more
+    work (so streams share workers fairly) and takes the next ready
+    slot, which is its own again when no other stream is waiting: no
+    sleep and no wake-up between a stream's consecutive actions.
+
+    A new worker is started only when an action becomes ready, no
+    worker is idle, and the set is smaller than ``min(live streams,
+    device cores)``. A kernel may therefore block on a kernel of
+    another stream of the same domain as long as the domain has no
+    more streams than cores: every stream can then hold a worker of
+    its own. Workers are daemons and idle until :meth:`close`.
+
+    ``_cv``'s lock is a leaf: nothing else is acquired under it, and it
+    is never held while an action runs or reports to the scheduler.
+    """
+
+    def __init__(
+        self,
+        domain: int,
+        cores: int,
+        run: Callable[[Action, float], None],
+        sanitizer=None,
+    ) -> None:
+        self._domain = domain
+        self._cores = cores
+        self._run = run
+        self._cv = make_condition(
+            None, f"backend.workers.d{domain}", sanitizer=sanitizer
+        )
+        self._slots: Dict[int, _Slot] = {}
+        self._ready: Deque[_Slot] = deque()
+        #: Workers waiting on ``_cv`` that no submit has claimed yet.
+        self._idle = 0
+        self._threads: List[threading.Thread] = []
+        self._closing = False
+
+    def add_stream(self, stream_id: int) -> None:
+        with self._cv:
+            self._slots[stream_id] = _Slot()
+
+    def drop_stream(self, stream_id: int) -> None:
+        with self._cv:
+            self._slots.pop(stream_id, None)
+
+    def submit(
+        self, stream_id: int, action: Action, delay: float = 0.0,
+        front: bool = False,
+    ) -> None:
+        """Queue ``action`` on its stream's slot; ``front`` puts it
+        ahead of everything already pending there (a retry)."""
+        thread = None
+        with self._cv:
+            slot = self._slots[stream_id]
+            if front:
+                slot.pending.appendleft((action, delay))
+            else:
+                slot.pending.append((action, delay))
+            if slot.running:
+                return
+            slot.running = True
+            self._ready.append(slot)
+            if self._idle:
+                # Claimed here, not by the woken worker: a second submit
+                # before it runs must not count the same worker twice.
+                self._idle -= 1
+                self._cv.notify()
+            elif len(self._threads) < min(len(self._slots), self._cores):
+                thread = threading.Thread(
+                    target=self._work,
+                    name=f"hstr-d{self._domain}-w{len(self._threads)}",
+                    daemon=True,
+                )
+                self._threads.append(thread)
+        if thread is not None:
+            thread.start()
+
+    def _work(self) -> None:
+        slot: Optional[_Slot] = None
+        while True:
+            with self._cv:
+                if slot is not None:
+                    if slot.pending:
+                        self._ready.append(slot)
+                    else:
+                        slot.running = False
+                while not self._ready:
+                    if self._closing:
+                        return
+                    self._idle += 1
+                    self._cv.wait()
+                slot = self._ready.popleft()
+                action, delay = slot.pending.popleft()
+            try:
+                self._run(action, delay)
+            except Exception:
+                # Kernel errors are reported through on_complete; what
+                # escapes _run is a runtime bug. Report it like a dying
+                # thread would, but keep the worker and the slot alive.
+                threading.excepthook(
+                    threading.ExceptHookArgs(
+                        (*sys.exc_info(), threading.current_thread())
+                    )
+                )
+
+    def close(self) -> None:
+        with self._cv:
+            self._closing = True
+            self._cv.notify_all()
+            threads = list(self._threads)
+        for thread in threads:
+            thread.join()
 
 
 class ThreadBackend(Backend):
@@ -60,10 +210,17 @@ class ThreadBackend(Backend):
 
     def attach(self, runtime) -> None:
         self.runtime = runtime
-        # Mutated only by the single source thread (make_stream /
-        # on_stream_destroy) and read by it in execute; workers never
-        # touch the dict, so it needs no lock.
-        self._stream_pools: Dict[int, ThreadPoolExecutor] = {}
+        sanitizer = getattr(runtime, "sanitizer", None)
+        #: One worker set per domain, indexed by domain.
+        self._domain_workers = [
+            _DomainWorkers(
+                dom.index, dom.device.total_cores, self._run, sanitizer
+            )
+            for dom in runtime.domains
+        ]
+        if sanitizer is not None:
+            for workers in self._domain_workers:
+                sanitizer.instrument(workers)
         self._xfer_pool = ThreadPoolExecutor(
             max_workers=self._xfer_workers, thread_name_prefix="hstr-xfer"
         )
@@ -78,13 +235,13 @@ class ThreadBackend(Backend):
         self._completion_cv = make_condition(
             None,
             "backend.completion",
-            sanitizer=getattr(runtime, "sanitizer", None),
+            sanitizer=sanitizer,
         )
         self._t0 = time.perf_counter()
 
     def close(self) -> None:
-        for pool in self._stream_pools.values():
-            pool.shutdown(wait=True)
+        for workers in self._domain_workers:
+            workers.close()
         self._xfer_pool.shutdown(wait=True)
 
     # -- handles & events --------------------------------------------------------
@@ -105,14 +262,10 @@ class ThreadBackend(Backend):
     # -- provisioning --------------------------------------------------------------
 
     def make_stream(self, stream) -> None:
-        self._stream_pools[stream.id] = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"hstr-{stream.name}"
-        )
+        self._domain_workers[stream.domain].add_stream(stream.id)
 
     def on_stream_destroy(self, stream) -> None:
-        pool = self._stream_pools.pop(stream.id, None)
-        if pool is not None:
-            pool.shutdown(wait=True)
+        self._domain_workers[stream.domain].drop_stream(stream.id)
 
     def make_instance(self, buf: Buffer, domain: int) -> np.ndarray:
         if domain == 0 and buf.host_array is not None:
@@ -122,77 +275,112 @@ class ThreadBackend(Backend):
     # -- execution ------------------------------------------------------------------
 
     def execute(self, action: Action) -> None:
-        """Dispatch a dependence-free action onto its worker pool.
+        """Dispatch a dependence-free action onto its executor.
 
-        Compute and sync actions go to the stream's single worker (the
-        sink's compute slot); transfers ride the DMA-like pool so they
-        overlap with compute.
+        Compute and sync actions queue on their stream's slot in the
+        sink domain's worker set; transfers ride the DMA-like pool so
+        they overlap with compute.
         """
-        assert action.stream is not None
+        stream = action.stream
+        assert stream is not None
         if action.kind is ActionKind.XFER:
             self._xfer_pool.submit(self._run, action)
         else:
-            self._stream_pools[action.stream.id].submit(self._run, action)
+            self._domain_workers[stream.domain].submit(stream.id, action)
 
     def execute_after(self, action: Action, delay: float) -> None:
         """Retry dispatch: re-run ``action`` after ``delay`` wall seconds.
 
-        The backoff sleep rides the same worker the action runs on (the
-        stream's compute slot, or the DMA pool for transfers), which
-        also keeps retried work ordered before anything enqueued behind
-        it in the same stream.
+        The backoff sleep rides the worker the action runs on. A
+        compute goes to the *front* of its stream's slot, so the retry
+        (backoff included) runs before anything dispatched behind it in
+        the same stream.
         """
-        assert action.stream is not None
+        stream = action.stream
+        assert stream is not None
         if action.kind is ActionKind.XFER:
             self._xfer_pool.submit(self._run, action, delay)
         else:
-            self._stream_pools[action.stream.id].submit(self._run, action, delay)
+            self._domain_workers[stream.domain].submit(
+                stream.id, action, delay, front=True
+            )
 
     def _run(self, action: Action, delay: float = 0.0) -> None:
-        if delay > 0.0:
-            # time.sleep() may return before the full delay has elapsed
-            # under coarse OS clocks / interrupted waits; re-check the
-            # monotonic deadline and re-arm so a retry backoff never
-            # dispatches early (the sim backend's virtual backoff is
-            # exact, and the two must agree on ordering).
-            deadline = time.monotonic() + delay
-            remaining = delay
-            while remaining > 0.0:
-                time.sleep(remaining)
-                remaining = deadline - time.monotonic()
-        scheduler = self.runtime.scheduler
+        self._backoff(delay)
+        start, error = self._prologue(action)
+        if error is None:
+            try:
+                self._execute(action)
+            except BaseException as exc:  # noqa: BLE001 - surfaced at next sync
+                error = exc
+        end = self.now()
+        self._epilogue(action, start, end, error, end - start)
+
+    @staticmethod
+    def _backoff(delay: float) -> None:
+        # time.sleep() may return before the full delay has elapsed
+        # under coarse OS clocks / interrupted waits; re-check the
+        # monotonic deadline and re-arm so a retry backoff never
+        # dispatches early (the sim backend's virtual backoff is
+        # exact, and the two must agree on ordering).
+        if delay <= 0.0:
+            return
+        deadline = time.monotonic() + delay
+        while delay > 0.0:
+            time.sleep(delay)
+            delay = deadline - time.monotonic()
+
+    def _prologue(
+        self, action: Action
+    ) -> Tuple[float, Optional[BaseException]]:
+        """Report the start and consult the fault injector.
+
+        Returns the start time and the injected fault, if one fired —
+        the action then goes straight to :meth:`_epilogue`.
+        """
+        start = self.now()
+        self.runtime.scheduler.on_start(action, when=start)
         injector = self.runtime.fault_injector
-        start = time.perf_counter() - self._t0
-        scheduler.on_start(action, when=start)
-        error: Optional[BaseException] = None
-        try:
-            if injector is not None:
+        if injector is not None:
+            try:
                 injector.check(action)
-            self._execute(action)
-        except BaseException as exc:  # noqa: BLE001 - surfaced at next sync
-            error = exc
-        end = time.perf_counter() - self._t0
+            except BaseException as exc:  # noqa: BLE001 - surfaced at next sync
+                return start, exc
+        return start, None
+
+    def _epilogue(
+        self,
+        action: Action,
+        start: float,
+        end: float,
+        error: Optional[BaseException],
+        ran_s: float,
+    ) -> None:
+        """Apply the action budget, trace, and report the completion.
+
+        ``ran_s`` is how long the action itself executed — what
+        ``action_timeout_s`` is judged on. It equals ``end - start``
+        except where an executor queues started actions.
+        """
         budget = self.runtime.config.action_timeout_s
-        if error is None and budget is not None and end - start > budget:
+        if error is None and budget is not None and ran_s > budget:
             # Python kernels cannot be preempted: enforce the per-action
             # budget post-hoc by failing the action once it returns.
             error = HStreamsTimedOut(
-                f"{action.display!r} ran {end - start:.6f} s, over the "
+                f"{action.display!r} ran {ran_s:.6f} s, over the "
                 f"action_timeout_s budget of {budget} s"
             )
-        assert action.stream is not None
+        stream = action.stream
+        assert stream is not None
         lane = (
-            f"xfer:d{action.stream.domain}"
+            f"xfer:d{stream.domain}"
             if action.kind is ActionKind.XFER
-            else action.stream.lane
+            else stream.lane
         )
-        kind = {
-            ActionKind.COMPUTE: "compute",
-            ActionKind.XFER: "transfer",
-            ActionKind.SYNC: "sync",
-        }[action.kind]
-        self.runtime.tracer.record(lane, start, end, action.display, kind=kind)
-        scheduler.on_complete(action, when=end, error=error)
+        self.runtime.tracer.record(
+            lane, start, end, action.display, kind=_TRACE_KIND[action.kind]
+        )
+        self.runtime.scheduler.on_complete(action, when=end, error=error)
 
     def _resolve(self, action: Action, item: Any) -> Any:
         assert action.stream is not None

@@ -270,6 +270,14 @@ class OmpSsRuntime:
             cross = [
                 (ev, r) for ev, s, r in dep_edges if s != sidx and not ev.is_complete()
             ]
+            if device == "host":
+                # Pull dirty inputs home first. The copy-back rides the
+                # producer's card stream, so the host stream must wait
+                # for *it* — the producer's own event fires before the
+                # bytes have moved.
+                cross += [
+                    (self._transfer_d2h(r), r) for r in reads if 0 not in r.valid
+                ]
             if cross:
                 # Scope the sync to exactly the regions carrying edges, so
                 # this task's unrelated prefetch transfers flow past it.
@@ -284,12 +292,8 @@ class OmpSsRuntime:
                 self._enforce_cross_deps(sidx, pending, reads + writes)
 
         # 3. Data movement: ensure every read datum is valid where the
-        #    task runs (host tasks pull dirty data home).
-        if device == "host":
-            for r in reads:
-                if 0 not in r.valid:
-                    self._transfer_d2h(r)
-        else:
+        #    task runs (host tasks pulled theirs home in step 2).
+        if device == "card":
             for r in reads:
                 if 1 not in r.valid:
                     self._transfer_h2d(r, sidx)
@@ -327,11 +331,14 @@ class OmpSsRuntime:
             )
         region.valid.add(1)
 
-    def _transfer_d2h(self, region: DataRegion) -> None:
+    def _transfer_d2h(self, region: DataRegion) -> Optional[HEvent]:
+        """Copy ``region`` home on its last writer's stream; returns the
+        copy's completion event (hStreams layer only)."""
         self.stats["transfers"] += 1
         sidx = region.last_write[1] if region.last_write is not None else 0
+        event = None
         if self.model == "hstreams":
-            self._hs.enqueue_xfer(
+            event = self._hs.enqueue_xfer(
                 self._streams[sidx],
                 region._buffer,
                 XferDirection.SINK_TO_SRC,
@@ -344,6 +351,7 @@ class OmpSsRuntime:
                 host, ptr, region.nbytes, MEMCPY_DEVICE_TO_HOST, self._streams[sidx]
             )
         region.valid.add(0)
+        return event
 
     def _enforce_cross_deps(self, sidx: int, events: List[HEvent], regions) -> None:
         self.stats["cross_stream_syncs"] += 1

@@ -37,12 +37,18 @@ from repro import (
     is_transient,
     mark_transient,
 )
-from repro.core.errors import HStreamsBackendDied
+from repro.core.errors import HStreamsBackendDied, HStreamsTimedOut
 from repro.core.faults import inject_faults
-from repro.core.process_backend import ProcessBackend
+from repro.core.process_backend import _MAX_INFLIGHT, ProcessBackend
+from repro.core.properties import RuntimeConfig
 
 
-def runtime(ncards=2, start_method=None, **kw):
+#: CI runs this file once per start method (the process-parity job);
+#: unset, the backend picks its default.
+START_METHOD = os.environ.get("REPRO_TEST_START_METHOD")
+
+
+def runtime(ncards=2, start_method=START_METHOD, **kw):
     return HStreams(
         platform=make_platform("HSW", ncards),
         backend=ProcessBackend(start_method=start_method),
@@ -59,6 +65,17 @@ def _double(x):
 def _sleep_kernel(x, seconds):
     time.sleep(seconds)
     x += 1.0
+
+
+def _stamp(x, seconds):
+    """Record [start, end] of this call on the system-wide clock."""
+    x[0] = time.monotonic()
+    time.sleep(seconds)
+    x[1] = time.monotonic()
+
+
+def _noop(*_args):
+    pass
 
 
 def _roundtrip(hs, stream, buf, n, kernel, args):
@@ -279,6 +296,96 @@ class TestSegmentLifecycle:
         assert shm_entries(names) == []
 
 
+class TestPipelining:
+    """Consecutive ready computes of a stream queue up in the worker."""
+
+    def test_in_flight_commands_stay_under_the_bound(self):
+        hs = runtime(ncards=1)
+        hs.register_kernel("sleep", fn=_sleep_kernel)
+        hs.register_kernel("noop", fn=_noop)
+        s = hs.stream_create(domain=1, ncores=1)
+        buf = hs.wrap(np.zeros(8))
+        hs.enqueue_xfer(s, buf)
+        depths = []
+
+        def sample():
+            depths.append(hs.metrics()["backend"]["workers"][1]["queue_depth"])
+
+        # A slow head of line, then 5 000 computes that are all ready
+        # at once: the slot ships until the window is full and waits.
+        hs.enqueue_compute(s, "sleep", args=(buf.tensor((8,)), 0.3))
+        sample()
+        for i in range(5000):
+            hs.enqueue_compute(s, "noop")
+            if i % 100 == 0:
+                sample()
+        while hs.scheduler.outstanding:
+            sample()
+            time.sleep(0.002)
+        hs.thread_synchronize(timeout=60.0)
+        assert max(depths) == _MAX_INFLIGHT  # it did pipeline, and no further
+        m = hs.metrics()["backend"]
+        assert m["remote_actions"] == 5001 and m["fallback_actions"] == 0
+        hs.fini()
+
+    def test_budget_is_judged_on_kernel_time_not_queueing(self):
+        hs = runtime(ncards=1, config=RuntimeConfig(action_timeout_s=0.02))
+        hs.register_kernel("sleep", fn=_sleep_kernel)
+        s = hs.stream_create(domain=1, ncores=1)
+        bufs = [hs.wrap(np.zeros(8)) for _ in range(64)]
+        for buf in bufs:
+            hs.enqueue_xfer(s, buf)
+        hs.thread_synchronize()
+        # 64 x 1 ms back to back: the last one is delivered ~64 ms after
+        # it was shipped, yet none of them ran over 20 ms.
+        events = [
+            hs.enqueue_compute(s, "sleep", args=(buf.tensor((8,)), 0.001))
+            for buf in bufs
+        ]
+        hs.thread_synchronize(timeout=60.0)
+        assert all(ev.record.state == "complete" for ev in events)
+        slow = hs.enqueue_compute(s, "sleep", args=(bufs[0].tensor((8,)), 0.05))
+        with pytest.raises(HStreamsTimedOut, match="action_timeout_s"):
+            hs.thread_synchronize(timeout=60.0)
+        assert slow.record.state == "failed"
+        hs.clear_failure()
+        hs.fini()
+
+    def test_remote_and_host_side_kernels_of_one_stream_stay_serial(self):
+        hs = runtime(ncards=1)
+        hs.register_kernel("remote", fn=_stamp)
+        host_spans = []
+
+        def host_side(x, seconds):  # a closure: runs in this process
+            t0 = time.monotonic()
+            time.sleep(seconds)
+            host_spans.append((t0, time.monotonic()))
+
+        hs.register_kernel("host", fn=host_side)
+        s = hs.stream_create(domain=1, ncores=1)
+        stamps = [np.zeros(2) for _ in range(6)]
+        bufs = [hs.wrap(a) for a in stamps]
+        for buf in bufs:
+            hs.enqueue_xfer(s, buf)
+        # Independent operands, so every compute is ready at once and
+        # only the stream's slot keeps them apart.
+        for i, buf in enumerate(bufs):
+            hs.enqueue_compute(s, "remote", args=(buf.tensor((2,)), 0.01))
+            if i % 2:
+                hs.enqueue_compute(s, "host", args=(None, 0.01))
+        for buf in bufs:
+            hs.enqueue_xfer(s, buf, XferDirection.SINK_TO_SRC)
+        hs.thread_synchronize(timeout=60.0)
+        m = hs.metrics()["backend"]
+        assert m["remote_actions"] == 6 and m["fallback_actions"] == 3
+        spans = sorted(host_spans + [(a[0], a[1]) for a in stamps])
+        overlap = sum(
+            max(0.0, end - nxt) for (_, end), (nxt, _) in zip(spans, spans[1:])
+        )
+        assert overlap == 0.0
+        hs.fini()
+
+
 def _wait_for_worker(hs, domain, timeout=10.0):
     """The pid of ``domain``'s worker once its first dispatch spawned it."""
     deadline = time.monotonic() + timeout
@@ -308,8 +415,6 @@ class TestForkSafety:
             pytest.skip("stdlib resource tracker has no lock to hold")
         if "fork" not in mp.get_all_start_methods():
             pytest.skip("fork start method unavailable")
-
-        from repro.core.properties import RuntimeConfig
 
         hs = runtime(
             ncards=1,

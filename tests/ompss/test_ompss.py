@@ -1,5 +1,7 @@
 """Tests for the OmpSs task-dataflow layer."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -284,3 +286,40 @@ class TestSmpHostTasks:
         rt.taskwait()
         np.testing.assert_array_equal(data, -5.0 * np.ones(8))
         rt.fini()
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_host_task_waits_for_the_copy_back(self, backend, monkeypatch):
+        # The host kernel must see the card's bytes and must not be
+        # overwritten by a late d2h. Waiting on the producer compute
+        # alone passes only while the copy happens to win the race;
+        # a slow copy exposes it (the host kernel negates zeros, then
+        # the d2h lands 5.0 on top).
+        copyto = np.copyto
+
+        def slow_copyto(dst, src, *args, **kwargs):
+            time.sleep(0.02)
+            return copyto(dst, src, *args, **kwargs)
+
+        monkeypatch.setattr(np, "copyto", slow_copyto)
+        rt = OmpSsRuntime(model="hstreams", platform=make_platform("HSW", 1),
+                          backend=backend, trace=False)
+        rt.register_kernel("init", fn=lambda x: x.fill(5.0))
+        rt.register_kernel("neg", fn=lambda x: np.negative(x, out=x))
+        data = np.zeros(8)
+        rt.task("init", args=(data,), outs=[data])
+        rt.task("neg", args=(data,), inouts=[data], device="host")
+        rt.taskwait()
+        np.testing.assert_array_equal(data, -5.0 * np.ones(8))
+        rt.fini()
+
+    def test_host_task_starts_after_the_copy_back_in_virtual_time(self):
+        rt = OmpSsRuntime(model="hstreams", backend="sim", trace=False)
+        rt.register_kernel("k", cost_fn=lambda *a: big_cost(0.05))
+        r = rt.register(64 << 20)  # a copy long enough to matter
+        rt.task("k", outs=[r])
+        host = rt.task("k", ins=[r], device="host")
+        rt.taskwait()
+        records = rt.metrics()["records"]
+        (d2h,) = [x for x in records if x.kind == "xfer" and x.label.startswith("from(")]
+        assert d2h.t_end > d2h.t_start
+        assert host.event.record.t_start >= d2h.t_end
