@@ -28,7 +28,7 @@ Benches:
   with 10 000 live streams that each ran one action. Streams are slots
   in a per-domain worker set bounded by the device's cores, so the
   count is the host device's core count however many streams exist.
-  Gated against the bar itself: host cores + transfer workers + 2.
+  Gated against the bar itself: host cores + 2.
 * ``cpu_scaling`` — a deliberately GIL-bound pure-Python matmul kernel
   spread over two card domains, thread backend vs process backend at
   identical DAG shape. The thread backend serialises the Python

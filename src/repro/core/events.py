@@ -19,8 +19,9 @@ class HEvent:
     """Handle for the completion of one enqueued action.
 
     The backend owns the underlying synchronization object (``handle``):
-    a ``threading.Event`` under the thread backend, a sim-engine event
-    under the sim backend.
+    a completion flag under the thread backend (waiters block on the
+    backend's completion condition), a sim-engine event under the sim
+    backend.
     """
 
     __slots__ = ("backend", "handle", "action", "timestamp", "record")

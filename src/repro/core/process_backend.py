@@ -22,7 +22,9 @@ every card-domain buffer instance with a POSIX shared-memory segment
   worker's pipe and process sentinel and runs the thread backend's
   epilogue (post-hoc action timeout, tracing, ``on_complete``) for each
   completion it reads — so lifecycle ordering, fault injection and
-  retry backoff behave cell-for-cell like the thread backend.
+  retry backoff behave cell-for-cell like the thread backend. The pump
+  is not a domain worker: what its completions ready is handed to the
+  domain's workers, never claimed by the pump.
 
 Everything that is not a card-domain compute (transfers, host-domain
 computes, syncs) — and any compute whose kernel or extra arguments
@@ -267,8 +269,7 @@ class _Worker:
 class ProcessBackend(ThreadBackend):
     """One worker process per domain over shared-memory buffer instances."""
 
-    def __init__(self, xfer_workers: int = 4, start_method: Optional[str] = None):
-        super().__init__(xfer_workers)
+    def __init__(self, start_method: Optional[str] = None):
         if start_method is None:
             start_method = (
                 "fork" if "fork" in mp.get_all_start_methods() else "spawn"
@@ -313,8 +314,7 @@ class ProcessBackend(ThreadBackend):
             }
 
     def close(self) -> None:
-        # Drain the domain workers and the xfer pool first: no new
-        # dispatches after this.
+        # Drain the domain workers first: no new dispatches after this.
         super().close()
         with self._cv:
             workers = list(self._workers.values())
@@ -451,7 +451,24 @@ class ProcessBackend(ThreadBackend):
         self._wake_w.send_bytes(b"x")
         return w
 
+    @caller_locked("_cv")
+    def _live_worker(self, domain: int) -> _Worker:
+        """``domain``'s worker process, started if it has none."""
+        worker = self._workers.get(domain)
+        return worker if worker is not None else self._spawn_worker(domain)
+
     # -- execution ----------------------------------------------------------------
+
+    def execute(self, action: Action) -> None:
+        """Dispatch as the thread backend does; a card compute first
+        makes sure its domain has a worker process, so the fork happens
+        on the dispatching thread rather than on a domain worker."""
+        stream = action.stream
+        assert stream is not None
+        if action.kind is ActionKind.COMPUTE and stream.domain != 0:
+            with self._cv:
+                self._live_worker(stream.domain)
+        super().execute(action)
 
     def _run(self, action: Action, delay: float = 0.0) -> None:
         stream = action.stream
@@ -537,9 +554,7 @@ class ProcessBackend(ThreadBackend):
         domain = stream.domain
         with self._cv:
             while True:
-                worker = self._workers.get(domain)
-                if worker is None:
-                    worker = self._spawn_worker(domain)
+                worker = self._live_worker(domain)
                 if len(worker.inflight) < _MAX_INFLIGHT:
                     break
                 self._cv.wait()

@@ -682,7 +682,8 @@ class Scheduler:
                 self._ns_inflight[stream.namespace] = (
                     self._ns_inflight.get(stream.namespace, 0) + count
                 )
-            tracer.counter(f"sched:{stream.lane}", now, stats.depth)
+            if tracer.enabled:
+                tracer.counter(f"sched:{stream.lane}", now, stats.depth)
         return ready
 
     @caller_locked("_lock")
@@ -784,7 +785,9 @@ class Scheduler:
             )
         self._totals["enqueued"] += 1
         self._outstanding += 1
-        self.runtime.tracer.counter(f"sched:{stream.lane}", now, stats.depth)
+        tracer = self.runtime.tracer
+        if tracer.enabled:
+            tracer.counter(f"sched:{stream.lane}", now, stats.depth)
         for obs in self.observers:
             obs.on_enqueue(action, dep_actions, dangling)
         if poison is not None:
@@ -953,7 +956,9 @@ class Scheduler:
         stats.depth -= 1
         if stream.namespace:
             self._ns_inflight[stream.namespace] -= 1
-        self.runtime.tracer.counter(f"sched:{stream.lane}", end, stats.depth)
+        tracer = self.runtime.tracer
+        if tracer.enabled:
+            tracer.counter(f"sched:{stream.lane}", end, stats.depth)
         failed = node.state is not ActionState.COMPLETE
         if failed:
             assert node.error is not None

@@ -13,12 +13,21 @@ Mapping of the paper's resources:
   ``running`` flag plus a pending FIFO. Compute tasks in a stream
   serialize (the sink's cores run one task at a time) and run in
   dispatch order, which is *readiness* order, i.e. out of FIFO order
-  when operands don't conflict; streams of one domain overlap. A
-  domain never runs more workers than ``min(live streams, device
-  cores)``, so creating or destroying a stream is a dictionary update
-  and 10 000 idle streams cost no thread;
-* transfers run on a separate DMA-like worker pool, so they overlap with
-  compute exactly as PCIe DMA engines do;
+  when operands don't conflict; streams of one domain overlap. At most
+  ``device cores`` computes of a domain run at once and the set never
+  starts more workers than ``min(live streams, device cores)`` for
+  them, so creating or destroying a stream is a dictionary update and
+  10 000 idle streams cost no thread;
+* a card domain's transfers queue on one DMA lane per direction in the
+  same worker set, mirroring the sim backend's one PCIe link per
+  direction: a direction's copies run one at a time in readiness
+  order and overlap with compute, and each busy lane may add one
+  worker to the set. Host-domain transfers alias away and ride their
+  stream's slot;
+* the worker that reports a completion runs the first queue that
+  completion readies in its own set, so a pipeline ``h2d -> compute ->
+  d2h`` runs on one thread with no hand-off between its steps; kernels
+  never claim work, so a kernel may enqueue and wait;
 * per-domain address spaces are separate numpy allocations; the host
   instance of a wrapped array is the caller's own memory (zero-copy), so
   host-as-target transfers alias away.
@@ -41,8 +50,7 @@ import sys
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -51,7 +59,7 @@ from repro.core.backend import Backend
 from repro.core.buffer import Buffer
 from repro.core.errors import HStreamsInternalError, HStreamsTimedOut
 from repro.core.events import HEvent
-from repro.core.sync import guarded_by, make_condition
+from repro.core.sync import caller_locked, guarded_by, make_condition
 
 __all__ = ["ThreadBackend"]
 
@@ -63,39 +71,85 @@ _TRACE_KIND = {
 
 
 class _Slot:
-    """One stream's place in its domain's worker set.
+    """One queue in a domain's worker set: a stream's, or a DMA lane's.
 
-    ``running`` is set while the slot is queued for, or held by, a
-    worker — at most one worker at a time, which is what serializes a
-    stream's computes. ``pending`` holds its dispatched ``(action,
-    delay)`` pairs in the order they will run. Both are guarded by the
-    owning :class:`_DomainWorkers` lock.
+    ``running`` is set while the slot is queued for, claimed by, or held
+    by a worker — at most one worker at a time, which is what serializes
+    a stream's computes and a lane's copies. ``pending`` holds its
+    dispatched ``(action, delay)`` pairs in the order they will run.
+    ``lane`` marks a DMA lane, which does not count against the
+    device's cores. The mutable fields are guarded by the owning
+    :class:`_DomainWorkers` lock.
     """
 
-    __slots__ = ("running", "pending")
+    __slots__ = ("running", "pending", "lane")
 
-    def __init__(self) -> None:
+    def __init__(self, lane: bool = False) -> None:
         self.running = False
         self.pending: Deque[Tuple[Action, float]] = deque()
+        self.lane = lane
 
 
-@guarded_by("_cv", "_slots", "_ready", "_idle", "_threads", "_closing")
+class _Flag:
+    """An action's completion flag.
+
+    Set under the backend's completion condition, which is what every
+    waiter blocks on; waiters only ever read it.
+    """
+
+    __slots__ = ("_set",)
+
+    def __init__(self) -> None:
+        self._set = False
+
+    def set(self) -> None:
+        self._set = True
+
+    def is_set(self) -> bool:
+        return self._set
+
+
+@guarded_by(
+    "_cv", "_slots", "_ready", "_ready_lanes", "_computing", "_idle",
+    "_waking", "_threads", "_members", "_claims", "_closing",
+)
 class _DomainWorkers:
-    """One domain's executor: a bounded worker set draining stream slots.
+    """One domain's executor: a bounded worker set draining its queues.
 
-    A worker takes the slot at the head of the ready queue, runs one of
-    its pending actions outside the lock, then — in one lock hold —
-    puts the slot back behind the other ready slots if it has more
-    work (so streams share workers fairly) and takes the next ready
-    slot, which is its own again when no other stream is waiting: no
-    sleep and no wake-up between a stream's consecutive actions.
+    The queues are one slot per stream of the domain (computes, syncs,
+    and host-domain transfers, which alias away) and, on a card domain,
+    one DMA lane per transfer direction — the thread-side mirror of the
+    sim backend's one PCIe link per direction. Any worker runs any
+    queue. A worker takes a ready queue (lanes first), runs one of its
+    pending actions outside the lock, then — in one lock hold — puts
+    the queue back behind the other ready ones if it has more work and
+    takes the next, which is its own again when nothing else waits: no
+    sleep and no wake-up between a queue's consecutive actions.
 
-    A new worker is started only when an action becomes ready, no
-    worker is idle, and the set is smaller than ``min(live streams,
-    device cores)``. A kernel may therefore block on a kernel of
-    another stream of the same domain as long as the domain has no
-    more streams than cores: every stream can then hold a worker of
-    its own. Workers are daemons and idle until :meth:`close`.
+    **The completing worker takes what it readied.** While a worker
+    reports a completion (:meth:`open_claim`, then the scheduler's
+    ``on_complete``), the first queue that completion makes ready in
+    this set is not handed to another worker: the finishing worker
+    takes it on its next loop turn. Later queues readied by the same
+    completion wake workers as usual. A submit from inside a running
+    kernel never claims, so a kernel that enqueues and waits still
+    completes. A pipeline ``h2d -> compute -> d2h`` thus runs on one
+    worker with no wake-up between its steps.
+
+    A queue the worker leaves behind with work still pending — the
+    lane whose copy readied the kernel, say — is handed on as usual,
+    so its next action runs beside the claimed one rather than after
+    it, and a claimed kernel may block on it.
+
+    **Bounds.** At most ``cores`` workers run computes at once, and a
+    new worker starts only when a queue is runnable, every idle worker
+    has been woken, and the set is smaller than ``min(live streams,
+    cores)`` plus the number of busy lanes — so the set never exceeds
+    ``cores + 2`` threads, and a domain with no transfers keeps the
+    ``min(live streams, cores)`` bound. A kernel may block on a kernel
+    of another stream of the same domain as long as the domain has no
+    more streams than cores: every stream can then hold a worker of its
+    own. Workers are daemons and idle until :meth:`close`.
 
     ``_cv``'s lock is a leaf: nothing else is acquired under it, and it
     is never held while an action runs or reports to the scheduler.
@@ -105,6 +159,7 @@ class _DomainWorkers:
         self,
         domain: int,
         cores: int,
+        lanes: bool,
         run: Callable[[Action, float], None],
         sanitizer=None,
     ) -> None:
@@ -114,11 +169,27 @@ class _DomainWorkers:
         self._cv = make_condition(
             None, f"backend.workers.d{domain}", sanitizer=sanitizer
         )
+        #: The DMA lanes by direction (card domains only). Fixed at
+        #: construction; the slots' fields are guarded like any slot's.
+        self._lanes: Dict[XferDirection, _Slot] = (
+            {d: _Slot(lane=True) for d in XferDirection} if lanes else {}
+        )
         self._slots: Dict[int, _Slot] = {}
+        #: Ready stream slots and ready lanes, each in readiness order.
         self._ready: Deque[_Slot] = deque()
-        #: Workers waiting on ``_cv`` that no submit has claimed yet.
+        self._ready_lanes: Deque[_Slot] = deque()
+        #: Workers holding a stream slot (at most ``cores``).
+        self._computing = 0
+        #: Workers waiting on ``_cv`` that no wake-up has claimed yet.
         self._idle = 0
+        #: Workers woken or started that have not yet looked for work.
+        self._waking = 0
         self._threads: List[threading.Thread] = []
+        #: Thread ids of this set's workers.
+        self._members: Set[int] = set()
+        #: Open claim windows by worker thread id: the slot the
+        #: worker's completion readied first, or None until one does.
+        self._claims: Dict[int, Optional[_Slot]] = {}
         self._closing = False
 
     def add_stream(self, stream_id: int) -> None:
@@ -130,14 +201,18 @@ class _DomainWorkers:
             self._slots.pop(stream_id, None)
 
     def submit(
-        self, stream_id: int, action: Action, delay: float = 0.0,
-        front: bool = False,
+        self, action: Action, delay: float = 0.0, front: bool = False
     ) -> None:
-        """Queue ``action`` on its stream's slot; ``front`` puts it
-        ahead of everything already pending there (a retry)."""
-        thread = None
+        """Queue ``action`` on its lane (a card transfer) or its
+        stream's slot; ``front`` puts it ahead of everything already
+        pending there (a retry)."""
+        stream = action.stream
+        assert stream is not None
         with self._cv:
-            slot = self._slots[stream_id]
+            if action.kind is ActionKind.XFER and self._lanes:
+                slot = self._lanes[action.direction]
+            else:
+                slot = self._slots[stream.id]
             if front:
                 slot.pending.appendleft((action, delay))
             else:
@@ -145,38 +220,117 @@ class _DomainWorkers:
             if slot.running:
                 return
             slot.running = True
-            self._ready.append(slot)
+            me = threading.get_ident()
+            if me in self._claims and self._claims[me] is None:
+                self._claims[me] = slot
+                return
+            (self._ready_lanes if slot.lane else self._ready).append(slot)
+            started = self._wake()
+        for thread in started:
+            thread.start()
+
+    def open_claim(self) -> None:
+        """Open the calling worker's claim window (see the class doc).
+
+        No-op on any other thread — a completion pump, or another
+        domain's worker. The window closes at the worker's next loop
+        turn, which is the first thing it does after the completion.
+        """
+        me = threading.get_ident()
+        with self._cv:
+            if me in self._members:
+                self._claims[me] = None
+
+    @caller_locked("_cv")
+    def _runnable(self) -> int:
+        """Ready queues a worker could take right now."""
+        return len(self._ready_lanes) + min(
+            len(self._ready), self._cores - self._computing
+        )
+
+    @caller_locked("_cv")
+    def _wake(self) -> List[threading.Thread]:
+        """Wake or create a worker for each runnable queue none is
+        already on its way to; returns the threads to start once the
+        lock is released."""
+        started: List[threading.Thread] = []
+        while self._runnable() > self._waking:
             if self._idle:
-                # Claimed here, not by the woken worker: a second submit
-                # before it runs must not count the same worker twice.
                 self._idle -= 1
                 self._cv.notify()
-            elif len(self._threads) < min(len(self._slots), self._cores):
+            elif len(self._threads) < min(
+                len(self._slots), self._cores
+            ) + sum(lane.running for lane in self._lanes.values()):
                 thread = threading.Thread(
                     target=self._work,
                     name=f"hstr-d{self._domain}-w{len(self._threads)}",
                     daemon=True,
                 )
                 self._threads.append(thread)
-        if thread is not None:
-            thread.start()
+                started.append(thread)
+            else:
+                break
+            self._waking += 1
+        return started
+
+    @caller_locked("_cv")
+    def _put_back(self, slot: _Slot) -> bool:
+        """Release ``slot``; True if it went back to the ready queues."""
+        if not slot.lane:
+            self._computing -= 1
+        if slot.pending:
+            (self._ready_lanes if slot.lane else self._ready).append(slot)
+            return True
+        slot.running = False
+        return False
+
+    @caller_locked("_cv")
+    def _take(self, claimed: Optional[_Slot]) -> Optional[_Slot]:
+        """The queue to run next: the claimed one if it may run now,
+        else a ready lane, else a ready slot while cores are free."""
+        if claimed is not None:
+            if claimed.lane:
+                return claimed
+            if self._computing < self._cores:
+                self._computing += 1
+                return claimed
+            self._ready.append(claimed)
+        if self._ready_lanes:
+            return self._ready_lanes.popleft()
+        if self._ready and self._computing < self._cores:
+            self._computing += 1
+            return self._ready.popleft()
+        return None
 
     def _work(self) -> None:
+        me = threading.get_ident()
         slot: Optional[_Slot] = None
         while True:
             with self._cv:
-                if slot is not None:
-                    if slot.pending:
-                        self._ready.append(slot)
-                    else:
-                        slot.running = False
-                while not self._ready:
+                left: Optional[_Slot] = None
+                if slot is None:  # first turn: _wake counted us waking
+                    self._members.add(me)
+                    self._waking -= 1
+                elif self._put_back(slot):
+                    left = slot
+                claimed = self._claims.pop(me, None)
+                slot = self._take(claimed)
+                kept = slot is not None and slot is claimed
+                while slot is None:
                     if self._closing:
                         return
                     self._idle += 1
                     self._cv.wait()
-                slot = self._ready.popleft()
+                    self._waking -= 1
+                    slot = self._take(None)
                 action, delay = slot.pending.popleft()
+                if kept and left is None:
+                    # Nothing left behind, nothing to hand on.
+                    started: List[threading.Thread] = []
+                else:
+                    started = self._wake()
+            for thread in started:
+                thread.start()
             try:
                 self._run(action, delay)
             except Exception:
@@ -192,6 +346,9 @@ class _DomainWorkers:
     def close(self) -> None:
         with self._cv:
             self._closing = True
+            # Every idle worker is woken; keep the count consistent.
+            self._waking += self._idle
+            self._idle = 0
             self._cv.notify_all()
             threads = list(self._threads)
         for thread in threads:
@@ -201,11 +358,6 @@ class _DomainWorkers:
 class ThreadBackend(Backend):
     """Real-execution backend on worker threads."""
 
-    def __init__(self, xfer_workers: int = 4):
-        if xfer_workers < 1:
-            raise ValueError("need at least one transfer worker")
-        self._xfer_workers = xfer_workers
-
     # -- lifecycle -------------------------------------------------------------
 
     def attach(self, runtime) -> None:
@@ -214,16 +366,17 @@ class ThreadBackend(Backend):
         #: One worker set per domain, indexed by domain.
         self._domain_workers = [
             _DomainWorkers(
-                dom.index, dom.device.total_cores, self._run, sanitizer
+                dom.index,
+                dom.device.total_cores,
+                dom.index != 0,
+                self._run,
+                sanitizer,
             )
             for dom in runtime.domains
         ]
         if sanitizer is not None:
             for workers in self._domain_workers:
                 sanitizer.instrument(workers)
-        self._xfer_pool = ThreadPoolExecutor(
-            max_workers=self._xfer_workers, thread_name_prefix="hstr-xfer"
-        )
         # Every completion (success, failure, or cancellation) notifies
         # this condition; host wait paths block on it instead of polling.
         # One backend-wide condition suffices: the source endpoint is a
@@ -242,12 +395,11 @@ class ThreadBackend(Backend):
     def close(self) -> None:
         for workers in self._domain_workers:
             workers.close()
-        self._xfer_pool.shutdown(wait=True)
 
     # -- handles & events --------------------------------------------------------
 
-    def make_handle(self) -> threading.Event:
-        return threading.Event()
+    def make_handle(self) -> _Flag:
+        return _Flag()
 
     def event_done(self, event: HEvent) -> bool:
         return event.handle.is_set()
@@ -275,35 +427,27 @@ class ThreadBackend(Backend):
     # -- execution ------------------------------------------------------------------
 
     def execute(self, action: Action) -> None:
-        """Dispatch a dependence-free action onto its executor.
+        """Dispatch a dependence-free action onto its domain's workers.
 
-        Compute and sync actions queue on their stream's slot in the
-        sink domain's worker set; transfers ride the DMA-like pool so
-        they overlap with compute.
+        A card transfer queues on its direction's DMA lane, so it
+        overlaps with compute; everything else queues on its stream's
+        slot.
         """
         stream = action.stream
         assert stream is not None
-        if action.kind is ActionKind.XFER:
-            self._xfer_pool.submit(self._run, action)
-        else:
-            self._domain_workers[stream.domain].submit(stream.id, action)
+        self._domain_workers[stream.domain].submit(action)
 
     def execute_after(self, action: Action, delay: float) -> None:
         """Retry dispatch: re-run ``action`` after ``delay`` wall seconds.
 
-        The backoff sleep rides the worker the action runs on. A
-        compute goes to the *front* of its stream's slot, so the retry
-        (backoff included) runs before anything dispatched behind it in
-        the same stream.
+        The backoff sleep rides the worker the action runs on. The
+        action goes to the *front* of its slot or lane, so the retry
+        (backoff included) runs before anything dispatched behind it
+        there.
         """
         stream = action.stream
         assert stream is not None
-        if action.kind is ActionKind.XFER:
-            self._xfer_pool.submit(self._run, action, delay)
-        else:
-            self._domain_workers[stream.domain].submit(
-                stream.id, action, delay, front=True
-            )
+        self._domain_workers[stream.domain].submit(action, delay, front=True)
 
     def _run(self, action: Action, delay: float = 0.0) -> None:
         self._backoff(delay)
@@ -372,14 +516,17 @@ class ThreadBackend(Backend):
             )
         stream = action.stream
         assert stream is not None
-        lane = (
-            f"xfer:d{stream.domain}"
-            if action.kind is ActionKind.XFER
-            else stream.lane
-        )
-        self.runtime.tracer.record(
-            lane, start, end, action.display, kind=_TRACE_KIND[action.kind]
-        )
+        tracer = self.runtime.tracer
+        if tracer.enabled:
+            lane = (
+                f"xfer:d{stream.domain}"
+                if action.kind is ActionKind.XFER
+                else stream.lane
+            )
+            tracer.record(
+                lane, start, end, action.display, kind=_TRACE_KIND[action.kind]
+            )
+        self._domain_workers[stream.domain].open_claim()
         self.runtime.scheduler.on_complete(action, when=end, error=error)
 
     def _resolve(self, action: Action, item: Any) -> Any:
