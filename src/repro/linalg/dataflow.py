@@ -44,7 +44,8 @@ class FlowContext:
         #: consumer orders behind *its own domain's* arrival instead of
         #: the whole collective.
         self._arrivals: Dict[int, Dict[int, Tuple[HEvent, int]]] = {}
-        #: sync actions already inserted: (consumer stream id, producer event id)
+        #: sync actions already inserted: (consumer stream id, producer
+        #: action seq, buffer uid)
         self._synced: Set[Tuple[int, int, int]] = set()
         self.sync_count = 0
 
@@ -78,15 +79,18 @@ class FlowContext:
             # those ranges order after it. A sync recorded for one
             # buffer enforces nothing for a different buffer of the same
             # producer event — dedup must be per (consumer stream,
-            # producer event, buffer), not per (stream, event).
-            key = (stream.id, id(ev), buf.uid)
+            # producer event, buffer), not per (stream, event). The
+            # producer is named by its action's seq, never by id(ev): a
+            # superseded event can be freed and its id reused by a new
+            # one, which would skip a sync depending on the allocator.
+            key = (stream.id, ev.action.seq, buf.uid)
             if key in self._synced:
                 continue
             self._synced.add(key)
-            pending[(id(ev), buf.uid)] = (ev, buf)
+            pending[(ev.action.seq, buf.uid)] = (ev, buf)
         if pending:
             self.sync_count += 1
-            events = {id(ev): ev for ev, _ in pending.values()}
+            events = {ev.action.seq: ev for ev, _ in pending.values()}
             self.hs.event_stream_wait(
                 stream,
                 list(events.values()),

@@ -91,6 +91,24 @@ class TestCrossStreamSyncs:
         flow.compute(s2, "k", args=(buf.all_inout(),), reads=(buf,), cost=cost(0.01))
         assert flow.sync_count == 1  # the second consumer reuses the sync
 
+    def test_each_new_producer_gets_its_sync_even_if_ids_collide(self, ctx, monkeypatch):
+        # A superseded producer's event can be freed and its id() handed
+        # to the next producer's; the dedup must still tell them apart,
+        # or whether the sync is inserted depends on the allocator.
+        import repro.linalg.dataflow as dataflow
+
+        monkeypatch.setattr(dataflow, "id", lambda obj: 0, raising=False)
+        hs, flow = ctx
+        s1 = hs.stream_create(domain=1, ncores=8)
+        s2 = hs.stream_create(domain=1, ncores=8)
+        buf = hs.buffer_create(nbytes=64)
+        for _ in range(2):
+            flow.compute(s1, "k", args=(buf.all_inout(),), writes=(buf,),
+                         cost=cost(0.05))
+            flow.compute(s2, "k", args=(buf.all_inout(),), reads=(buf,),
+                         cost=cost(0.01))
+        assert flow.sync_count == 2
+
     def test_ordering_is_actually_enforced(self, ctx):
         hs, flow = ctx
         s1 = hs.stream_create(domain=1, ncores=30)
