@@ -17,7 +17,7 @@ wire), and zero-hop transfers (same domain, aliased) are free.
 
 from __future__ import annotations
 
-from typing import Dict, Union
+from typing import Dict, Generator, Union
 
 from repro.sim.engine import Engine, Event
 from repro.sim.interconnect import Fabric, LinkPair
@@ -74,15 +74,21 @@ class ScifFabric:
 
         Host-rooted routes always exist; a node-to-node route exists
         only on a peer-enabled fabric. The returned event fires at DMA
-        completion.
+        completion with ``nbytes``.
+        """
+        return self.engine.process(self.dma_steps(src, dst, nbytes))
+
+    def dma_steps(self, src: int, dst: int, nbytes: int) -> Generator:
+        """:meth:`dma`'s body, for ``yield from`` in a caller's process.
+
+        Checks the route now; the returned generator moves the bytes
+        (nothing, for an aliased same-node copy) and returns ``nbytes``.
         """
         self._check_route(src, dst)
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         self.dma_count += 1
-        if src == dst:
-            return self._immediate(0.0, value=nbytes)  # aliased, no copy
-        return self.fabric.transfer(src, dst, nbytes)
+        return self.fabric.moves(src, dst, nbytes)
 
     def host_copy(self, nbytes: int) -> Event:
         """A host-local memcpy at memory bandwidth (host-as-target path)."""

@@ -13,9 +13,11 @@ discrete-event engine:
   host clock, amortized by the COI 2 MB buffer pool when enabled.
 
 The backend is a pure executor: the scheduler hands it an action only
-once every dependence completed, and the spawned engine process merely
-models *when* that action occupies sink resources. An action still
-cannot start before its (virtual) host enqueue time — the process first
+once every dependence completed, and the action's one engine process
+merely models *when* it occupies sink resources. Its COI command or
+SCIF transfer runs inside that process with ``yield from``, not as a
+nested process (DESIGN.md §4 gives the calendar order rule). An action
+still cannot start before its (virtual) host enqueue time — the process first
 waits out ``max(0, t_enqueue - engine.now)``, which reproduces the old
 submit-time arrival semantics exactly (start = max(arrival, deps done)
 either way).
@@ -145,13 +147,11 @@ class SimBackend(Backend):
         failure policy applies exactly as on the thread backend.
         """
         delay = max(0.0, self.runtime.scheduler.enqueue_time(action) - self.engine.now)
-        self.engine.process(self._proc(action, delay), name=action.display)
+        self.engine.process(self._proc(action, delay))
 
     def execute_after(self, action: Action, delay: float) -> None:
         """Retry dispatch: re-model ``action`` after ``delay`` virtual s."""
-        self.engine.process(
-            self._proc(action, delay), name=f"retry:{action.display}"
-        )
+        self.engine.process(self._proc(action, delay))
 
     def _proc(self, action: Action, delay: float):
         scheduler = self.runtime.scheduler
@@ -191,35 +191,38 @@ class SimBackend(Backend):
         return dur + cfg.invoke_overhead_s
 
     def _execute(self, action: Action):
+        """The action's sink-side steps, run inline in its process.
+
+        The COI command and the SCIF transfer run as generator bodies
+        (``yield from``), not as nested processes; the calendar still
+        sees the entries the nested form pushed that can change the
+        schedule (DESIGN.md §4). Lane and label strings are built only
+        when the tracer is on.
+        """
         cfg = self.runtime.config
         scheduler = self.runtime.scheduler
+        engine = self.engine
+        tracer = self.runtime.tracer
         assert action.stream is not None
         stream = action.stream
         if action.kind is ActionKind.COMPUTE:
             duration = self._compute_duration(action)
-            start_holder = [0.0]
-
-            def on_start() -> None:
-                start_holder[0] = self.engine.now
-                scheduler.on_start(action, when=self.engine.now)
-
-            yield self._pipelines[stream.id].run_function(
+            start = yield from self._pipelines[stream.id].run_steps(
                 duration,
-                on_start=on_start,
+                on_start=lambda: scheduler.on_start(action, when=engine.now),
                 gate=self._domain_cores[stream.domain],
                 gate_units=stream.width,
             )
-            self.runtime.tracer.record(
-                stream.lane, start_holder[0], self.engine.now, action.display, "compute"
-            )
+            if tracer.enabled:
+                tracer.record(stream.lane, start, engine.now, action.display, "compute")
         elif action.kind is ActionKind.XFER:
-            scheduler.on_start(action, when=self.engine.now)
+            scheduler.on_start(action, when=engine.now)
             if stream.domain == 0 or action.elided:
                 # Aliased host-as-target transfer, or a redundant one
                 # the memory manager elided: completes in zero virtual
                 # time, still ordering its dependents.
                 return
-            yield self.engine.timeout(cfg.transfer_overhead_s)
+            yield engine.timeout(cfg.transfer_overhead_s)
             src, dst = (
                 (0, stream.domain)
                 if action.direction is XferDirection.SRC_TO_SINK
@@ -227,20 +230,19 @@ class SimBackend(Backend):
             )
             if action.src_domain is not None:
                 src = action.src_domain
-            start = self.engine.now
-            yield self.coi.dma(src, dst, action.nbytes)
-            if src != 0 and dst != 0:
-                lane = f"fabric:d{src}->d{dst}"
-            else:
-                lane = f"pcie:d{stream.domain}:" + (
-                    "h2d" if action.direction is XferDirection.SRC_TO_SINK else "d2h"
-                )
-            self.runtime.tracer.record(
-                lane, start, self.engine.now, action.display, "transfer"
-            )
+            start = engine.now
+            yield from self.coi.dma_steps(src, dst, action.nbytes)
+            if tracer.enabled:
+                if src != 0 and dst != 0:
+                    lane = f"fabric:d{src}->d{dst}"
+                else:
+                    lane = f"pcie:d{stream.domain}:" + (
+                        "h2d" if action.direction is XferDirection.SRC_TO_SINK else "d2h"
+                    )
+                tracer.record(lane, start, engine.now, action.display, "transfer")
         elif action.kind is ActionKind.SYNC:
-            scheduler.on_start(action, when=self.engine.now)
-            yield self.engine.timeout(cfg.sync_overhead_s)
+            scheduler.on_start(action, when=engine.now)
+            yield engine.timeout(cfg.sync_overhead_s)
         else:  # pragma: no cover - exhaustive over ActionKind
             raise HStreamsInternalError(f"unknown action kind {action.kind}")
 

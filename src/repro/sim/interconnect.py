@@ -29,15 +29,28 @@ Accounting: ``bytes_moved`` and ``busy_time`` are charged when a
 transfer actually holds the wire, not at submission; time spent queued
 behind the resource (and, for host-rooted traffic, behind the shared
 bus) accumulates in ``queue_wait``.
+
+Every transfer is one generator body (:meth:`Link.occupy`,
+:meth:`Fabric.moves`) that holds its resources, charges the accounting
+and returns the byte count. :meth:`Link.transfer` and
+:meth:`Fabric.transfer` start that body as an engine process and return
+it as the completion event; a caller already inside a process runs the
+body with ``yield from`` instead (see :mod:`repro.coi.coi`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, Generator, Optional
 
 from repro.sim.engine import Engine, Event, Resource
 
 __all__ = ["Link", "LinkPair", "Fabric"]
+
+
+def _nothing(nbytes: int) -> Generator:
+    """Body of a same-node move: no wire, done at once."""
+    return nbytes
+    yield  # pragma: no cover - makes this a generator
 
 
 class Link:
@@ -69,13 +82,13 @@ class Link:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         return self.latency_s + nbytes / (self.bandwidth_gbs * 1e9)
 
-    def occupy(self, nbytes: int, duration: float, submitted: float) -> Iterator:
+    def occupy(self, nbytes: int, duration: float, submitted: float) -> Generator:
         """Generator: acquire the wire, charge accounting, hold ``duration``.
 
         ``submitted`` is the engine time the caller issued the transfer;
         the gap until the wire grant is charged to ``queue_wait``.
         Yield-from this inside an engine process that may co-hold other
-        resources around it.
+        resources around it. Returns ``nbytes``.
         """
         yield self._resource.request()
         try:
@@ -85,19 +98,12 @@ class Link:
             yield self.engine.timeout(duration)
         finally:
             self._resource.release()
+        return nbytes
 
     def transfer(self, nbytes: int) -> Event:
         """Start a transfer; the returned event fires at completion."""
         duration = self.transfer_time(nbytes)
-        submitted = self.engine.now
-        done = self.engine.event(name=f"xfer:{self.name}")
-
-        def run():
-            yield from self.occupy(nbytes, duration, submitted)
-            done.trigger(nbytes)
-
-        self.engine.process(run(), name=f"xfer:{self.name}")
-        return done
+        return self.engine.process(self.occupy(nbytes, duration, self.engine.now))
 
     @property
     def queued(self) -> int:
@@ -177,7 +183,17 @@ class Fabric:
         """Move ``nbytes`` from node ``src`` to node ``dst``.
 
         Host-rooted transfers ride the destination/source port (plus the
-        shared bus when modelled); peer transfers hold both ports.
+        shared bus when modelled); peer transfers hold both ports. The
+        returned event fires at completion with ``nbytes``.
+        """
+        return self.engine.process(self.moves(src, dst, nbytes))
+
+    def moves(self, src: int, dst: int, nbytes: int) -> Generator:
+        """:meth:`transfer`'s body, for ``yield from`` in a caller's process.
+
+        Checks the route now; the returned generator holds the route's
+        resources for the wire time and returns ``nbytes``. A same-node
+        move holds nothing.
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
@@ -187,7 +203,7 @@ class Fabric:
                     f"no fabric node {node}; known nodes: {sorted(self.ports)}"
                 )
         if src == dst:
-            return self.engine.timeout(0.0, value=nbytes)
+            return _nothing(nbytes)
         if src == 0:
             return self._host_rooted(self.ports[dst].h2d, nbytes, tx=True)
         if dst == 0:
@@ -198,73 +214,61 @@ class Fabric:
             )
         return self._peer(src, dst, nbytes)
 
-    def _host_rooted(self, link: Link, nbytes: int, tx: bool) -> Event:
-        bus = self.host_tx if tx else self.host_rx
-        if bus is None:
-            return link.transfer(nbytes)
+    def _host_rooted(self, link: Link, nbytes: int, tx: bool) -> Generator:
         duration = link.transfer_time(nbytes)
         submitted = self.engine.now
-        done = self.engine.event(name=f"xfer:{link.name}")
-
-        def run():
-            # Bus (egress for h2d) before link keeps the global
-            # egress-then-ingress order; for d2h the link *is* the
-            # egress, so the RX bus is folded into the wire hold.
-            if tx:
+        bus = self.host_tx if tx else self.host_rx
+        if bus is None:
+            return (yield from link.occupy(nbytes, duration, submitted))
+        # Bus (egress for h2d) before link keeps the global
+        # egress-then-ingress order; for d2h the link *is* the
+        # egress, so the RX bus is folded into the wire hold.
+        if tx:
+            yield bus.request()
+            self.host_bus_wait += self.engine.now - submitted
+            try:
+                yield from link.occupy(nbytes, duration, submitted)
+            finally:
+                bus.release()
+        else:
+            yield link._resource.request()
+            try:
+                granted = self.engine.now
                 yield bus.request()
-                self.host_bus_wait += self.engine.now - submitted
+                self.host_bus_wait += self.engine.now - granted
                 try:
-                    yield from link.occupy(nbytes, duration, submitted)
+                    link.queue_wait += self.engine.now - submitted
+                    link.bytes_moved += nbytes
+                    link.busy_time += duration
+                    yield self.engine.timeout(duration)
                 finally:
                     bus.release()
-            else:
-                yield link._resource.request()
-                try:
-                    granted = self.engine.now
-                    yield bus.request()
-                    self.host_bus_wait += self.engine.now - granted
-                    try:
-                        link.queue_wait += self.engine.now - submitted
-                        link.bytes_moved += nbytes
-                        link.busy_time += duration
-                        yield self.engine.timeout(duration)
-                    finally:
-                        bus.release()
-                finally:
-                    link._resource.release()
-            done.trigger(nbytes)
+            finally:
+                link._resource.release()
+        return nbytes
 
-        self.engine.process(run(), name=f"xfer:{link.name}")
-        return done
-
-    def _peer(self, src: int, dst: int, nbytes: int) -> Event:
+    def _peer(self, src: int, dst: int, nbytes: int) -> Generator:
         egress = self.ports[src].d2h
         ingress = self.ports[dst].h2d
         duration = max(egress.transfer_time(nbytes), ingress.transfer_time(nbytes))
         submitted = self.engine.now
-        done = self.engine.event(name=f"xfer:peer:{src}->{dst}")
-
-        def run():
-            yield egress._resource.request()
+        yield egress._resource.request()
+        try:
+            yield ingress._resource.request()
             try:
-                yield ingress._resource.request()
-                try:
-                    waited = self.engine.now - submitted
-                    for link in (egress, ingress):
-                        link.queue_wait += waited
-                        link.bytes_moved += nbytes
-                        link.busy_time += duration
-                    self.peer_bytes_moved += nbytes
-                    self.peer_transfers += 1
-                    yield self.engine.timeout(duration)
-                finally:
-                    ingress._resource.release()
+                waited = self.engine.now - submitted
+                for link in (egress, ingress):
+                    link.queue_wait += waited
+                    link.bytes_moved += nbytes
+                    link.busy_time += duration
+                self.peer_bytes_moved += nbytes
+                self.peer_transfers += 1
+                yield self.engine.timeout(duration)
             finally:
-                egress._resource.release()
-            done.trigger(nbytes)
-
-        self.engine.process(run(), name=f"xfer:peer:{src}->{dst}")
-        return done
+                ingress._resource.release()
+        finally:
+            egress._resource.release()
+        return nbytes
 
     def peer_time(self, src: int, dst: int, nbytes: int) -> float:
         """Wire time of one peer hop (bottleneck of the two ports)."""

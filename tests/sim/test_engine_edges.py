@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.sim.engine import AnyOf, Engine, SimError
+from repro import HStreams, XferDirection, make_platform
+from repro.coi.buffer_pool import BufferPool
+from repro.coi.coi import COIContext
+from repro.coi.scif import ScifFabric
+from repro.sim import engine as sim_engine
+from repro.sim.engine import AnyOf, Engine, Interrupt, Resource, SimError
+from repro.sim.interconnect import Fabric, LinkPair
+from repro.sim.kernels import KernelCost
 
 
 class TestConditionFailures:
@@ -126,3 +133,258 @@ class TestProcessReturnPaths:
         eng.process(waiter(p))
         eng.run()
         assert order == ["slow", "waiter"]
+
+
+class TestProcessStart:
+    def test_interrupt_before_first_step(self):
+        """The start entry was queued first, so the generator takes its
+        first step and meets the interrupt at its first yield."""
+        eng = Engine()
+        log = []
+
+        def sleeper():
+            log.append(("started", eng.now))
+            try:
+                yield eng.timeout(5.0)
+            except Interrupt as i:
+                log.append(("interrupted", i.cause, eng.now))
+
+        p = eng.process(sleeper())
+        p.interrupt("early")
+        eng.run()
+        assert log == [("started", 0.0), ("interrupted", "early", 0.0)]
+        assert p.triggered and p.ok
+
+    def test_unhandled_interrupt_before_first_step_fails_the_process(self):
+        eng = Engine()
+
+        def sleeper():
+            yield eng.timeout(5.0)
+
+        p = eng.process(sleeper())
+        p.interrupt("early")
+        eng.run()
+        assert p.triggered and not p.ok
+        assert isinstance(p.value, Interrupt) and p.value.cause == "early"
+        assert eng.now == 5.0  # the abandoned timeout still fires, waking no one
+
+    def test_first_yield_of_a_fired_event_resumes_in_the_same_step(self):
+        eng = Engine()
+        ready = eng.event()
+        ready.trigger("v")
+        broken = eng.event()
+        broken.fail(ValueError("bad"))
+        got = []
+
+        def proc():
+            got.append((yield ready))
+            try:
+                yield broken
+            except ValueError as exc:
+                got.append(str(exc))
+            yield eng.timeout(1.0)
+            got.append(eng.now)
+
+        eng.process(proc())
+        eng.step()  # the start entry: runs straight through both fired events
+        assert got == ["v", "bad"]
+        assert eng.pending_count == 1  # only the timeout it now waits on
+        eng.run()
+        assert got == ["v", "bad", 1.0]
+
+    def test_process_start_costs_one_calendar_entry(self):
+        eng = Engine()
+
+        def proc():
+            yield eng.timeout(1.0)
+
+        eng.process(proc())
+        assert eng.pending_count == 1
+
+
+class TestSameTimestampOrder:
+    def test_starts_timeouts_and_grants_fire_in_insertion_order(self):
+        eng = Engine()
+        res = Resource(eng, capacity=1)
+        order = []
+
+        def proc(tag):
+            order.append(tag)
+            yield eng.timeout(0.0)
+
+        eng.timeout(0.0).add_callback(lambda e: order.append("timeout"))
+        eng.process(proc("p1"))
+        res.request().add_callback(lambda e: order.append("grant"))
+        eng.process(proc("p2"))
+        eng.timeout(0.0).add_callback(lambda e: order.append("timeout2"))
+        eng.run()
+        assert order == ["timeout", "p1", "grant", "p2", "timeout2"]
+
+    def test_process_started_mid_step_queues_behind_due_entries(self):
+        eng = Engine()
+        order = []
+
+        def child():
+            order.append("child")
+            yield eng.timeout(0.0)
+
+        def parent():
+            eng.process(child())
+            order.append("parent")
+            yield eng.timeout(0.0)
+
+        eng.process(parent())
+        eng.timeout(0.0).add_callback(lambda e: order.append("queued-before"))
+        eng.run()
+        assert order == ["parent", "queued-before", "child"]
+
+
+class TestResourceQueue:
+    def test_fifo_head_blocking(self):
+        """A large request at the head is never overtaken by a smaller
+        one behind it, even when the smaller one would fit."""
+        eng = Engine()
+        res = Resource(eng, capacity=4)
+        grants = []
+
+        def user(tag, units, hold):
+            yield res.request(units)
+            grants.append((tag, eng.now))
+            yield eng.timeout(hold)
+            res.release(units)
+
+        eng.process(user("holder", 3, 1.0))
+        eng.process(user("big", 2, 1.0))
+        eng.process(user("small", 1, 1.0))
+        eng.run(until=0.5)
+        assert res.in_use == 3 and res.queued == 2  # "small" would fit
+        eng.run()
+        assert grants == [("holder", 0.0), ("big", 1.0), ("small", 1.0)]
+        assert res.in_use == 0 and res.queued == 0
+
+    def test_release_grants_every_fitting_head_in_order(self):
+        eng = Engine()
+        res = Resource(eng, capacity=3)
+        grants = []
+        held = res.request(3)
+        for tag in "abc":
+            res.request(1).add_callback(lambda e, tag=tag: grants.append(tag))
+        eng.run()
+        assert held.triggered and grants == [] and res.queued == 3
+        res.release(3)
+        eng.run()
+        assert grants == ["a", "b", "c"] and res.in_use == 3
+
+
+def _coi(peer=False, nodes=2):
+    eng = Engine()
+    ports = {
+        d: LinkPair(eng, bandwidth_gbs=1.0, latency_s=0.0, name=f"p{d}")
+        for d in range(1, nodes + 1)
+    }
+    fabric = ScifFabric(eng, Fabric(eng, ports, peer_enabled=peer))
+    ctx = COIContext(eng, fabric, BufferPool(2 << 20, lambda n: 0.0), domains=nodes + 1)
+    return eng, fabric, ctx
+
+
+class TestPlumbingEvents:
+    """The event-returning entry points are processes over the same
+    generator bodies the sim backend runs inline."""
+
+    def test_run_function_fires_with_its_start_time(self):
+        eng, _, ctx = _coi()
+        pipe = ctx.pipeline(1)
+        got = []
+        pipe.run_function(1.0).add_callback(lambda e: got.append(("a", e.value)))
+        second = pipe.run_function(1.0)
+        second.add_callback(lambda e: got.append(("b", e.value, eng.now)))
+        eng.run()
+        (_, start_a), (_, start_b, end_b) = got
+        assert start_b > start_a and end_b > start_b + 1.0
+
+    def test_run_function_rejects_negative_duration_at_call(self):
+        _, _, ctx = _coi()
+        with pytest.raises(ValueError):
+            ctx.pipeline(1).run_function(-1.0)
+
+    def test_transfers_fire_with_nbytes(self):
+        eng, fabric, ctx = _coi(peer=True)
+        values = []
+        for ev in (
+            fabric.fabric.ports[1].h2d.transfer(1000),
+            fabric.fabric.transfer(0, 1, 2000),
+            fabric.fabric.transfer(1, 2, 3000),
+            fabric.fabric.transfer(2, 2, 4000),
+            fabric.dma(2, 0, 5000),
+            ctx.dma(0, 1, 6000),
+        ):
+            ev.add_callback(lambda e: values.append(e.value))
+        eng.run()
+        assert sorted(values) == [1000, 2000, 3000, 4000, 5000, 6000]
+
+    def test_transfer_can_be_waited_on_by_a_process(self):
+        eng, fabric, _ = _coi()
+        got = []
+
+        def waiter():
+            got.append((yield fabric.dma(0, 1, int(1e9))))
+            got.append(eng.now)
+
+        eng.process(waiter())
+        eng.run()
+        assert got == [int(1e9), pytest.approx(1.0)]
+
+    def test_dma_steps_match_yielding_the_dma_event(self):
+        """The inline body takes the event form's calendar entries,
+        including the zero-delay hop before the wire request. Here a
+        host-rooted copy reaches node 1's ingress port at the instant a
+        queued peer hop is granted node 2's egress: the grant is already
+        due, so the peer hop takes the ingress port first."""
+
+        def run(inline):
+            eng, _, ctx = _coi(peer=True, nodes=3)
+            done = {}
+
+            def move(tag, src, dst, waits=()):
+                for dt in waits:
+                    yield eng.timeout(dt)
+                if inline:
+                    yield from ctx.dma_steps(src, dst, int(1e9))
+                else:
+                    yield ctx.dma(src, dst, int(1e9))
+                done[tag] = eng.now
+
+            eng.process(move("2->3", 2, 3))
+            eng.process(move("2->1", 2, 1))  # queued for node 2's egress
+            eng.process(move("0->1", 0, 1, waits=(0.5, 0.5)))  # due as 2->3 ends
+            eng.run()
+            return done
+
+        expected = {"2->3": 1.0, "2->1": 2.0, "0->1": 3.0}
+        assert run(inline=True) == run(inline=False) == expected
+
+
+class TestOneProcessPerAction:
+    def test_each_sim_action_is_one_engine_process(self, monkeypatch):
+        started = []
+        real_init = sim_engine.Process.__init__
+
+        def counting_init(self, *args, **kw):
+            started.append(self)
+            real_init(self, *args, **kw)
+
+        monkeypatch.setattr(sim_engine.Process, "__init__", counting_init)
+        hs = HStreams(platform=make_platform("HSW", 1), backend="sim", trace=False)
+        hs.register_kernel(
+            "k", cost_fn=lambda op: KernelCost(kernel="k", flops=1e7, size=64)
+        )
+        s = hs.stream_create(domain=1, ncores=4)
+        host = hs.stream_create(domain=0, ncores=2)
+        for _ in range(3):
+            buf = hs.buffer_create(nbytes=1 << 20)
+            hs.enqueue_xfer(s, buf)
+            hs.enqueue_compute(s, "k", args=(buf.all_inout(),))
+            hs.enqueue_xfer(s, buf, XferDirection.SINK_TO_SRC)
+            hs.enqueue_compute(host, "k", args=(buf.all_inout(),))
+        hs.thread_synchronize()
+        assert len(started) == hs.metrics()["actions"]["completed"] == 12
