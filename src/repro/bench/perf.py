@@ -550,7 +550,8 @@ def bench_replay(rows: List[PerfRow], iters: int) -> None:
     admission cost at the same DAG size. Re-enqueue pays the full
     admission pipeline per action — operand construction, cost-model
     calls, dependence scans against the deepening window — while replay
-    admits the captured template through the batched final stage only.
+    admits the captured template as one batch, with its recorded
+    producers in place of the scans.
 
     Gates: replay must run zero dependence-scan comparisons
     (``replay_scan_comparisons``), the re-enqueue scan and edge counts

@@ -24,12 +24,14 @@ copy/accumulate computes for reductions) over a chosen schedule:
     Binomial: every domain that holds the payload forwards it each
     round, chunk-pipelined; ⌈log₂(N+1)⌉ rounds.
 
-Chunk dependences are wired through the scheduler's *precomputed*
-admission path (:meth:`~repro.core.scheduler.Scheduler.enqueue_precomputed`),
-so the memory manager's coherence/elision, hsan, failure policies, and
-``capture_graph()``/``replay()`` all see ordinary actions. External
-ordering against work already in the participating streams comes from
-one window probe per stream per collective
+Each chunk is admitted through
+:meth:`~repro.core.scheduler.Scheduler.enqueue_precomputed` — the
+scheduler's one admission loop, handed the planner's producers in place
+of a window scan — so fail_fast, namespace quotas, admission poisoning,
+the memory manager's coherence/elision, hsan and
+``capture_graph()``/``replay()`` all treat chunks as ordinary actions.
+External ordering against work already in the participating streams
+comes from one window probe per stream per collective
 (:meth:`~repro.core.scheduler.Scheduler.window_producers`), not one scan
 per chunk — which is also why a replayed collective performs zero
 dependence scans.
@@ -181,13 +183,6 @@ class _Plan:
 
     def _admit(self, action: Action, deps: Sequence[Optional[Action]]) -> Action:
         hs = self.hs
-        if action.kind is ActionKind.XFER:
-            hs.stats["transfers"] += 1
-            hs.stats["bytes_transferred"] += action.nbytes
-        elif action.kind is ActionKind.COMPUTE:
-            hs.stats["computes"] += 1
-        else:
-            hs.stats["syncs"] += 1
         hs.backend.advance_host(hs.config.enqueue_overhead_s)
         seen: set = set()
         dep_actions: List[Action] = []
@@ -196,6 +191,7 @@ class _Plan:
                 seen.add(id(dep))
                 dep_actions.append(dep)
         hs.scheduler.enqueue_precomputed(action, dep_actions)
+        hs._count_admitted((action,))
         self.result.actions.append(action)
         return action
 

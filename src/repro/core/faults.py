@@ -151,10 +151,6 @@ class FaultInjector(SchedulerObserver):
     scheduler's lock, making arm-vs-fire a single critical section.
     """
 
-    #: Arming matches on the action itself (kind/kernel/stream), never
-    #: on producer edges, so batched replay admission may skip them.
-    wants_deps = False
-
     def __init__(self, plan: FaultPlan):
         self.plan = plan
         self._rng = random.Random(plan.seed)

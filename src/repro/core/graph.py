@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
 
 from repro.core.errors import HStreamsInternalError
 from repro.core.sync import caller_locked, guarded_by
@@ -211,6 +211,13 @@ class ActionNode:
         )
 
 
+def _cycle_error(dep: ActionNode, node: ActionNode) -> HStreamsInternalError:
+    return HStreamsInternalError(
+        f"dependence cycle: {node.action.display!r} cannot wait on "
+        f"{dep.action.display!r} (edge runs backwards in enqueue order)"
+    )
+
+
 @guarded_by("_lock", "_nodes")
 class ActionGraph:
     """In-flight actions and the dependence edges between them.
@@ -236,14 +243,32 @@ class ActionGraph:
         return len(self._nodes)
 
     @caller_locked("_lock")
-    def add(self, action: "Action", t_enqueue: float) -> ActionNode:
-        """Insert a node for a newly enqueued action."""
-        if action.seq in self._nodes:
+    def add(
+        self, action: "Action", t_enqueue: float, deps: Sequence["Action"] = ()
+    ) -> ActionNode:
+        """Insert a node for a newly admitted action, edged after the
+        live nodes of its producers ``deps``.
+
+        Producers that already finished resolve to no node — a satisfied
+        dependence wires no edge.
+        """
+        nodes = self._nodes
+        if action.seq in nodes:
             raise HStreamsInternalError(
                 f"action {action.display!r} enqueued twice"
             )
         node = ActionNode(action, t_enqueue)
-        self._nodes[action.seq] = node
+        seq = action.seq
+        waiting = 0
+        for dep in deps:
+            dep_node = nodes.get(dep.seq)
+            if dep_node is not None:
+                if dep.seq >= seq:
+                    raise _cycle_error(dep_node, node)
+                dep_node.dependents.append(node)
+                waiting += 1
+        node.waiting = waiting
+        nodes[seq] = node
         return node
 
     @caller_locked("_lock")
@@ -262,25 +287,9 @@ class ActionGraph:
         corrupted, so it is reported as an internal cycle error.
         """
         if dep.action.seq >= node.action.seq:
-            raise HStreamsInternalError(
-                f"dependence cycle: {node.action.display!r} cannot wait on "
-                f"{dep.action.display!r} (edge runs backwards in enqueue order)"
-            )
+            raise _cycle_error(dep, node)
         dep.dependents.append(node)
         node.waiting += 1
-
-    def add_edges(self, deps: List[ActionNode], node: ActionNode) -> None:
-        """Register every dependence in ``deps`` for ``node``.
-
-        The admission pipeline's bulk form: on the enqueue path ``deps``
-        are freshly scanned window/event producers; on the replay path
-        they are a template's pre-computed edges injected directly, with
-        the same acyclicity check (replayed actions draw fresh, larger
-        sequence numbers, so template-internal edges always point
-        forward).
-        """
-        for dep in deps:
-            self.add_edge(dep, node)
 
     @caller_locked("_lock")
     def pop(self, node: ActionNode) -> None:

@@ -425,10 +425,6 @@ class MemoryManager(SchedulerObserver):
     completion callbacks commit the ``INVALID → VALID → DIRTY`` machine.
     """
 
-    #: Coherence tracking is footprint-driven; producer edges are not
-    #: consulted, so batched replay admission may skip building them.
-    wants_deps = False
-
     def __init__(
         self,
         runtime: "HStreams",

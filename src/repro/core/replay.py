@@ -18,11 +18,11 @@ This module is the hStreams analogue:
   schedule-independent, and its closure orders everything any replay
   needs — "it happened to be complete at enqueue time" is timing, not
   ordering.
-* ``hs.replay(g)`` re-admits the DAG through
-  :meth:`~repro.core.scheduler.Scheduler.enqueue_precomputed`, which
-  injects the pre-computed edges directly into the scheduler's live
-  :class:`~repro.core.graph.ActionGraph` — no window scan runs (the
-  dependence scan counters stay at zero during replay).
+* ``hs.replay(g)`` re-admits the DAG as one batch through
+  :meth:`~repro.core.scheduler.Scheduler.admit_instance` — the same
+  admission loop every enqueue runs, handed each clone's template
+  producers instead of a window scan (the dependence scan counters stay
+  at zero during replay). The batch is admitted or rejected whole.
 * ``g.instantiate(bindings)`` rebinds buffer operands (capture buffer →
   same-size replacement), the parameterized-slot mechanism: capture
   once on one set of tiles, replay across the working set.
@@ -220,19 +220,6 @@ class GraphTemplate:
                 out.append(stream)
         return out
 
-    def stat_delta(self) -> Dict[str, int]:
-        """Per-replay increments for ``HStreams.stats``."""
-        delta = {"computes": 0, "transfers": 0, "syncs": 0, "bytes_transferred": 0}
-        for proto in self.protos:
-            if proto.kind is ActionKind.COMPUTE:
-                delta["computes"] += 1
-            elif proto.kind is ActionKind.XFER:
-                delta["transfers"] += 1
-                delta["bytes_transferred"] += proto.nbytes
-            else:
-                delta["syncs"] += 1
-        return delta
-
     def validate(self) -> list:
         """Run the hazard analyzer's rules over the captured trace.
 
@@ -357,16 +344,14 @@ class GraphInstance:
     def dep_lists(self) -> List[Tuple[Action, ...]]:
         """Per-action producer actions (template edges over the clones).
 
-        Built lazily: batched replay admission only materializes these
-        when a registered observer consumes edges (see
-        :attr:`~repro.core.scheduler.SchedulerObserver.wants_deps`) or
-        when poison fallback needs per-action producer context.
+        What :meth:`~repro.core.scheduler.Scheduler.admit_instance`
+        wires in place of a window scan: the graph edges, the admission
+        poison check and the observers' ``deps`` all read it.
         """
         if self._dep_lists is None:
-            actions = self.actions
+            get = self.actions.__getitem__
             self._dep_lists = [
-                tuple(actions[i] for i in idx)
-                for idx in self.template.dep_indices
+                tuple(map(get, idx)) for idx in self.template.dep_indices
             ]
         return self._dep_lists
 

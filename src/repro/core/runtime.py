@@ -713,15 +713,26 @@ class HStreams:
 
     def _enqueue(self, action: Action) -> HEvent:
         assert action.stream is not None
-        if action.kind is ActionKind.COMPUTE:
-            self.stats["computes"] += 1
-        elif action.kind is ActionKind.XFER:
-            self.stats["transfers"] += 1
-            self.stats["bytes_transferred"] += action.nbytes
-        else:
-            self.stats["syncs"] += 1
         self.backend.advance_host(self.config.enqueue_overhead_s)
-        return self.scheduler.enqueue(action)
+        event = self.scheduler.enqueue(action)
+        self._count_admitted((action,))
+        return event
+
+    def _count_admitted(self, actions: Sequence[Action]) -> None:
+        """Fold actions the scheduler admitted into :attr:`stats`.
+
+        Called after admission returns, so rejected work is never
+        counted and ``stats`` agrees with ``metrics()["actions"]``.
+        """
+        stats = self.stats
+        for action in actions:
+            if action.kind is ActionKind.COMPUTE:
+                stats["computes"] += 1
+            elif action.kind is ActionKind.XFER:
+                stats["transfers"] += 1
+                stats["bytes_transferred"] += action.nbytes
+            else:
+                stats["syncs"] += 1
 
     # -- collectives ----------------------------------------------------------------
 
@@ -859,12 +870,14 @@ class HStreams:
         is instantiated here, optionally rebinding buffers via
         ``bindings``) or an already-built single-use
         :class:`~repro.core.replay.GraphInstance`. Admission goes through
-        :meth:`~repro.core.scheduler.Scheduler.admit_instance`, the
-        batched form of the admission pipeline's final stage: no
-        dependence scan runs, the template's edges are injected directly.
-        Replay does not block; the returned instance's ``events`` are
-        waitable as usual, and template streams must be quiescent on
-        entry (synchronize first).
+        :meth:`~repro.core.scheduler.Scheduler.admit_instance`: the
+        scheduler's one admission loop, run over the whole instance with
+        the template's producers in place of a window scan. fail_fast
+        and quota decide for the batch as a whole, so a rejected replay
+        admits nothing and leaves the instance replayable. Replay does
+        not block; the returned instance's ``events`` are waitable as
+        usual, and template streams must be quiescent on entry
+        (synchronize first).
         """
         self._check_init()
         from repro.core.replay import GraphInstance, GraphTemplate
@@ -914,15 +927,16 @@ class HStreams:
                     "synchronize it first (replay assumes pre-replay work "
                     "has completed)"
                 )
-        instance.consumed = True
-        for key, value in template.stat_delta().items():
-            self.stats[key] += value
         # One host-overhead advance per replayed batch — per-action
         # enqueue overhead is exactly what replay amortizes away.
         self.backend.advance_host(self.config.enqueue_overhead_s)
         for buf, domain in instance.instance_sites():
             self._ensure_instance(buf, domain)
         self.scheduler.admit_instance(instance)
+        # Only an admitted instance is spent: a rejected one (fail_fast,
+        # quota) admitted nothing and can be replayed again.
+        instance.consumed = True
+        self._count_admitted(instance.actions)
         return instance
 
     # -- synchronization -----------------------------------------------------------

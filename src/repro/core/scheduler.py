@@ -43,6 +43,7 @@ from repro.core.actions import ActionKind
 from repro.core.errors import (
     HStreamsBadArgument,
     HStreamsCancelled,
+    HStreamsQuotaExceeded,
     HStreamsTimedOut,
     is_transient,
 )
@@ -65,10 +66,6 @@ FAILURE_POLICIES = ("poison", "fail_fast", "retry")
 #: Shared empty dangling-wait list for the common enqueue (no explicit
 #: waits claimed): handed to observers read-only, never mutated.
 _NO_DANGLING: List["HEvent"] = []
-
-#: Shared empty producer list: handed to deps-blind observers during
-#: batched replay admission (see ``SchedulerObserver.wants_deps``).
-_NO_DEPS: List["Action"] = []
 
 
 @guarded_by("_lock", "errors", "observed", "_namespaces")
@@ -223,13 +220,6 @@ class SchedulerObserver:
     override only what they need. The hazard analyzer's capture recorder
     and online checker are the two in-tree observers.
     """
-
-    #: Whether :meth:`on_enqueue` reads its ``deps`` argument. Batched
-    #: replay admission skips materializing per-clone producer tuples
-    #: when every registered observer declares ``False`` (the memory
-    #: manager and fault injector do); observers that consume edges —
-    #: trace capture, the online checker — keep the default.
-    wants_deps: bool = True
 
     def on_enqueue(
         self,
@@ -448,88 +438,141 @@ class Scheduler:
             self._streams[stream.id] = stats
         return stats
 
-    # -- enqueue ----------------------------------------------------------------
+    # -- admission ------------------------------------------------------------
 
     def enqueue(self, action: "Action") -> HEvent:
         """Admit an action: wire its dependence edges and dispatch if ready.
 
         ``action.deps`` may already hold explicit cross-stream event
-        waits (``event_stream_wait``); intra-stream dependences are
-        computed here from the stream's window view under its FIFO
-        policy. Returns the action's completion event.
-
-        Admission is a pipeline — compute window dependences, resolve
-        and validate them (:meth:`_resolve_deps`), then admit
-        (:meth:`_admit`). The dependence-computation stage is the only
-        part replay (:meth:`enqueue_precomputed`) skips: a replayed
-        action arrives with its edges already known, so no window scan
-        runs at all.
+        waits (``event_stream_wait``); intra-stream dependences come from
+        the stream's window view under its FIFO policy
+        (:meth:`_resolve_deps`). A batch of one through
+        :meth:`_admit_and_dispatch`. Returns the completion event.
         """
-        backend = self.runtime.backend
-        stream = action.stream
-        assert stream is not None
-        with self._lock:
-            if self.failure_policy == "fail_fast":
-                # Refuse new work outright once anything failed — in the
-                # enqueueing stream's namespace only, when it has one:
-                # one tenant's fail_fast never rejects another's work.
-                self.failure.raise_pending(
-                    namespace=stream.namespace or None
-                )
-            self._check_quota(stream)
-            now = backend.now()
-            # Intra-stream policy dependences come back as live actions;
-            # the list is ours, so it doubles as the observer-facing
-            # ``dep_actions`` without another allocation. ``action.deps``
-            # stays what the caller put there: explicit event waits.
-            window_deps = stream.window.deps_for(action)
-            dep_nodes, dep_actions, dangling = self._resolve_deps(
-                action, window_deps
-            )
-            ready = self._admit(action, now, dep_nodes, dep_actions, dangling)
-            if self._sanitizer is not None:
-                self._sanitizer.check_scheduler(self)
-        if ready:
-            backend.execute(action)
+        self._admit_and_dispatch((action,), None)
         return action.completion
 
     def enqueue_precomputed(
         self, action: "Action", dep_actions: Sequence["Action"]
     ) -> HEvent:
-        """Admit an action whose dependence edges are already known.
+        """Admit an action whose producers are already known.
 
-        The replay path (:meth:`~repro.core.runtime.HStreams.replay`):
-        ``dep_actions`` are the producers a captured template recorded
-        for this action, so the window dependence scan — the
-        per-action cost the scan counters measure — is skipped
-        entirely. Producers that already finished resolve to no live
-        node, exactly as satisfied dependences do on the enqueue path.
-        Everything downstream of dependence computation (poison checks,
-        graph insertion, observers, elision, readiness dispatch) is the
-        shared :meth:`_admit` stage, so replayed actions execute
-        identically to enqueued ones on every backend.
+        The collectives path: ``dep_actions`` are the producers the
+        planner computed, so no window scan runs. Producers that already
+        finished resolve to no live node, exactly as satisfied
+        dependences do on the enqueue path. A batch of one through
+        :meth:`_admit_and_dispatch`.
+        """
+        self._admit_and_dispatch((action,), (dep_actions,))
+        return action.completion
+
+    def admit_instance(self, instance) -> None:
+        """Admit a whole replayed graph instance as one batch.
+
+        ``instance.dep_lists`` carries each clone's template producers,
+        so no window scan runs; the whole instance is admitted or
+        rejected in one :meth:`_admit_and_dispatch` lock hold.
+        """
+        self._admit_and_dispatch(instance.actions, instance.dep_lists)
+
+    def _admit_and_dispatch(
+        self,
+        actions: Sequence["Action"],
+        dep_lists: Optional[Sequence[Sequence["Action"]]],
+    ) -> None:
+        """The one admission body behind enqueue, collectives and replay.
+
+        One lock hold over the batch. fail_fast and quota are decided
+        once per namespace before any node exists
+        (:meth:`_check_admission`), so a rejected batch admits nothing.
+        Then, per action in order: its producers (``dep_lists[i]``, or
+        the window scan plus explicit waits when ``dep_lists`` is None),
+        its admission-poison check, a graph node edged after its live
+        producers, a completion event, its window entry, the stats and a
+        ``sched:`` depth sample, and the observer callbacks. Completions
+        serialize on the lock, so no executor retires work mid-batch;
+        the ready actions dispatch after the lock drops.
         """
         backend = self.runtime.backend
-        assert action.stream is not None
+        ready: List["Action"] = []
         with self._lock:
-            if self.failure_policy == "fail_fast":
-                self.failure.raise_pending(
-                    namespace=action.stream.namespace or None
-                )
-            self._check_quota(action.stream)
+            if self.namespace_quotas or self.failure_policy == "fail_fast":
+                self._check_admission(actions)
             now = backend.now()
-            get_node = self.graph.get
-            dep_nodes = [
-                node for node in map(get_node, dep_actions) if node is not None
-            ]
-            ready = self._admit(
-                action, now, dep_nodes, list(dep_actions), _NO_DANGLING
-            )
+            make_handle = backend.make_handle
+            graph_add = self.graph.add
+            observers = self.observers
+            streams = self._streams
+            poisoned = self._poisoned
+            tracer = self.runtime.tracer
+            for i, action in enumerate(actions):
+                stream = action.stream
+                if dep_lists is None:
+                    deps, dangling = self._resolve_deps(action)
+                else:
+                    deps, dangling = dep_lists[i], _NO_DANGLING
+                # Work admitted *after* a producer failed must poison
+                # exactly like work admitted before: failed actions have
+                # already left the live graph and the stream window, so
+                # the edges alone would happily run it on garbage.
+                poison = self._admission_poison(action, deps) if poisoned else None
+                node = graph_add(action, now, deps)
+                action.completion = HEvent(backend, make_handle(), action)
+                stream.window.add(action)
+                stats = streams.get(stream.id) or self._stream_stats(stream)
+                stats.enqueued += 1
+                stats.dep_edges += node.waiting
+                stats.depth += 1
+                if stats.depth > stats.max_depth:
+                    stats.max_depth = stats.depth
+                if stream.namespace:
+                    self._ns_inflight[stream.namespace] = (
+                        self._ns_inflight.get(stream.namespace, 0) + 1
+                    )
+                self._totals["enqueued"] += 1
+                self._outstanding += 1
+                if tracer.enabled:
+                    tracer.counter(f"sched:{stream.lane}", now, stats.depth)
+                for obs in observers:
+                    obs.on_enqueue(action, deps, dangling)
+                if poison is not None:
+                    self._cancel_subgraph(node, poison, now)
+                elif node.waiting == 0:
+                    node.transition(ActionState.READY)
+                    node.t_ready = now
+                    ready.append(action)
             if self._sanitizer is not None:
                 self._sanitizer.check_scheduler(self)
-        if ready:
-            backend.execute(action)
-        return action.completion
+        execute = backend.execute
+        for action in ready:
+            execute(action)
+
+    @caller_locked("_lock")
+    def _check_admission(self, actions: Sequence["Action"]) -> None:
+        """Refuse a whole batch under fail_fast or a full namespace quota.
+
+        Lock held, before any node exists, once per namespace the batch
+        touches. fail_fast raises a failure pending in that namespace
+        (any failure, for the empty namespace): one tenant's fail_fast
+        never rejects another's work. A quota rejects the batch when
+        admitting it would take its namespace past the limit.
+        """
+        counts: Dict[str, int] = {}
+        for action in actions:
+            ns = action.stream.namespace
+            counts[ns] = counts.get(ns, 0) + 1
+        fail_fast = self.failure_policy == "fail_fast"
+        for ns, count in counts.items():
+            if fail_fast:
+                self.failure.raise_pending(namespace=ns or None)
+            limit = self.namespace_quotas.get(ns) if ns else None
+            inflight = self._ns_inflight.get(ns, 0)
+            if limit is not None and inflight + count > limit:
+                raise HStreamsQuotaExceeded(
+                    f"namespace {ns!r} has {inflight} action(s) in flight "
+                    f"against a quota of {limit}; admitting {count} more "
+                    "would exceed it — synchronize or defer first"
+                )
 
     def set_namespace_quota(self, namespace: str, limit: Optional[int]) -> None:
         """Cap a namespace's in-flight actions at ``limit`` (None clears).
@@ -548,21 +591,6 @@ class Scheduler:
                 self.namespace_quotas.pop(namespace, None)
             else:
                 self.namespace_quotas[namespace] = limit
-
-    @caller_locked("_lock")
-    def _check_quota(self, stream: "Stream") -> None:
-        """Reject admission when the stream namespace's quota is full."""
-        ns = stream.namespace
-        if not ns or not self.namespace_quotas:
-            return
-        limit = self.namespace_quotas.get(ns)
-        if limit is not None and self._ns_inflight.get(ns, 0) >= limit:
-            from repro.core.errors import HStreamsQuotaExceeded
-
-            raise HStreamsQuotaExceeded(
-                f"namespace {ns!r} has {limit} action(s) in flight "
-                "(its quota); synchronize or defer before enqueueing more"
-            )
 
     def namespace_inflight(self, namespace: str) -> int:
         """Current in-flight action count of ``namespace``."""
@@ -583,147 +611,35 @@ class Scheduler:
         with self._lock:
             return list(stream.window.deps_for(probe))
 
-    def admit_instance(self, instance) -> None:
-        """Admit a whole replayed graph instance in one scheduler pass.
-
-        The batch form of :meth:`enqueue_precomputed`, and the reason
-        replay admission stays cheap: the lock is taken once, ``now`` is
-        read once, per-stream stats and the depth counters are updated
-        once per stream, and the template's edges are wired node-to-node
-        by position — every producer of a template edge is an earlier
-        member of this same batch, so no graph lookups run at all.
-        Completions serialize on the scheduler lock, so nothing retires
-        mid-batch and the in-batch waiting counts are exact; dispatch of
-        the ready roots happens after the lock drops, exactly as for
-        single admissions.
-
-        With failures pending the batch falls back to per-action
-        :meth:`enqueue_precomputed`: admission poisoning needs each
-        action's producer and conflict context individually, and that
-        path is not the one whose cost replay is optimizing.
-        """
-        backend = self.runtime.backend
-        ready: List["Action"] = []
-        with self._lock:
-            if self.failure_policy == "fail_fast":
-                self.failure.raise_pending()
-            poisoned = bool(self._poisoned)
-            if not poisoned:
-                ready = self._admit_batch(instance, backend)
-                if self._sanitizer is not None:
-                    self._sanitizer.check_scheduler(self)
-        if poisoned:
-            for action, dep_actions in zip(instance.actions, instance.dep_lists):
-                self.enqueue_precomputed(action, dep_actions)
-            return
-        execute = backend.execute
-        for action in ready:
-            execute(action)
-
     @caller_locked("_lock")
-    def _admit_batch(self, instance, backend) -> List["Action"]:
-        """Admit every clone of ``instance`` in template order.
+    def _resolve_deps(self, action: "Action") -> Tuple[List["Action"], List[HEvent]]:
+        """An enqueued action's producers: window scan plus explicit waits.
 
-        Lock held, no pending failures. Mirrors :meth:`_admit` stage by
-        stage (graph node, completion event, edges, window entry,
-        observers, readiness) with the per-action bookkeeping hoisted
-        out of the loop. Template edges always point backwards in the
-        batch (the recorder admits producers first) and clones draw
-        fresh monotonic seqs, so the acyclicity invariant
-        :meth:`~repro.core.graph.ActionGraph.add_edge` checks holds by
-        construction. Returns the immediately dispatchable roots.
+        Lock held, before the node exists, so a rejected wait leaves no
+        zombie node behind. Returns ``(deps, dangling)``: every producer
+        action, live or finished (the graph edges only the live ones),
+        and any dangling waits an observer claimed.
         """
-        now = backend.now()
-        make_handle = backend.make_handle
-        graph_add = self.graph.add
-        observers = self.observers
-        dep_lists = (
-            instance.dep_lists
-            if any(getattr(obs, "wants_deps", True) for obs in observers)
-            else None
-        )
-        nodes: List[ActionNode] = []
-        ready: List["Action"] = []
-        for i, action in enumerate(instance.actions):
-            node = graph_add(action, now)
-            action.completion = HEvent(backend, make_handle(), action)
-            dep_idx = instance.template.dep_indices[i]
-            for j in dep_idx:
-                nodes[j].dependents.append(node)
-            node.waiting = len(dep_idx)
-            nodes.append(node)
-            action.stream.window.add(action)
-            deps = _NO_DEPS if dep_lists is None else dep_lists[i]
-            for obs in observers:
-                obs.on_enqueue(action, deps, _NO_DANGLING)
-            if node.waiting == 0:
-                node.transition(ActionState.READY)
-                node.t_ready = now
-                ready.append(action)
-        self._totals["enqueued"] += len(nodes)
-        self._outstanding += len(nodes)
-        per_stream: Dict[int, List] = {}
-        for action, dep_idx in zip(instance.actions, instance.template.dep_indices):
-            entry = per_stream.get(action.stream.id)
-            if entry is None:
-                per_stream[action.stream.id] = [action.stream, 1, len(dep_idx)]
-            else:
-                entry[1] += 1
-                entry[2] += len(dep_idx)
-        tracer = self.runtime.tracer
-        for stream, count, edges in per_stream.values():
-            stats = self._stream_stats(stream)
-            stats.enqueued += count
-            stats.dep_edges += edges
-            stats.depth += count
-            if stats.depth > stats.max_depth:
-                stats.max_depth = stats.depth
-            if stream.namespace:
-                self._ns_inflight[stream.namespace] = (
-                    self._ns_inflight.get(stream.namespace, 0) + count
-                )
-            if tracer.enabled:
-                tracer.counter(f"sched:{stream.lane}", now, stats.depth)
-        return ready
-
-    @caller_locked("_lock")
-    def _resolve_deps(
-        self, action: "Action", window_deps: List["Action"]
-    ) -> Tuple[List[ActionNode], List["Action"], List[HEvent]]:
-        """Resolve and validate every dependence before mutating the
-        graph, so a rejected enqueue leaves no zombie node behind.
-
-        Lock held. Returns ``(dep_nodes, dep_actions, dangling)``:
-        the live producer nodes to edge against, every producer action
-        (live or finished) for the observers, and any dangling waits an
-        observer claimed.
-        """
-        dep_nodes: List[ActionNode] = []
+        # The scan's list is ours, so it doubles as the observer-facing
+        # producer list; ``action.deps`` stays the explicit event waits.
+        deps = action.stream.window.deps_for(action)
         dangling: List[HEvent] = _NO_DANGLING
-        dep_actions: List["Action"] = window_deps
-        for prev in window_deps:
-            dep_node = self.graph.get(prev)
-            if dep_node is not None:  # retired concurrently (defensive)
-                dep_nodes.append(dep_node)
         if action.deps:
             # Explicit waits may duplicate each other or a window
             # dependence; the common enqueue has none, so the dedup
-            # set is built only on this path. ``dep_actions`` keeps
-            # every waited action, including already-completed ones
-            # (capture mode completes everything instantly, so the
-            # live graph alone would record no edges at all).
-            seen = {prev.seq for prev in window_deps}
+            # set is built only on this path. ``deps`` keeps every
+            # waited action, including already-completed ones (capture
+            # mode completes everything instantly, so the live graph
+            # alone would record no edges at all).
+            seen = {prev.seq for prev in deps}
             for ev in action.deps:
                 dep = ev.action
                 if dep is not None:
                     if dep.seq in seen:
                         continue
                     seen.add(dep.seq)
-                    dep_actions.append(dep)
-                dep_node = self.graph.get(dep)
-                if dep_node is not None:
-                    dep_nodes.append(dep_node)
-                elif not ev.is_complete():
+                    deps.append(dep)
+                if self.graph.get(dep) is None and not ev.is_complete():
                     # An observer (the capture recorder) may claim the
                     # dangling wait as a diagnostic instead of an
                     # error. Every observer gets to see it (no
@@ -742,61 +658,7 @@ class Scheduler:
                         "this runtime's scheduler; cross-runtime event "
                         "dependences are not supported"
                     )
-        return dep_nodes, dep_actions, dangling
-
-    @caller_locked("_lock")
-    def _admit(
-        self,
-        action: "Action",
-        now: float,
-        dep_nodes: List[ActionNode],
-        dep_actions: List["Action"],
-        dangling: List[HEvent],
-    ) -> bool:
-        """Final admission stage, shared by enqueue and replay.
-
-        Lock held; dependences already resolved. Checks admission
-        poisoning, inserts the graph node with its edges, mints the
-        completion event, updates the window and the stats, notifies
-        observers, and returns whether the action is immediately
-        dispatchable (no unfinished dependences, not poisoned).
-        """
-        stream = action.stream
-        backend = self.runtime.backend
-        # Determinism across enqueue/failure interleavings: work
-        # admitted *after* a producer failed must poison exactly
-        # like work admitted before (failed actions have already
-        # left the live graph and the stream window, so the edge
-        # machinery alone would happily run it on garbage).
-        poison = self._admission_poison(action, dep_actions)
-        node = self.graph.add(action, now)
-        action.completion = HEvent(backend, backend.make_handle(), action)
-        self.graph.add_edges(dep_nodes, node)
-        stream.window.add(action)
-        stats = self._stream_stats(stream)
-        stats.enqueued += 1
-        stats.dep_edges += len(dep_nodes)
-        stats.depth += 1
-        if stats.depth > stats.max_depth:
-            stats.max_depth = stats.depth
-        if stream.namespace:
-            self._ns_inflight[stream.namespace] = (
-                self._ns_inflight.get(stream.namespace, 0) + 1
-            )
-        self._totals["enqueued"] += 1
-        self._outstanding += 1
-        tracer = self.runtime.tracer
-        if tracer.enabled:
-            tracer.counter(f"sched:{stream.lane}", now, stats.depth)
-        for obs in self.observers:
-            obs.on_enqueue(action, dep_actions, dangling)
-        if poison is not None:
-            self._cancel_subgraph(node, poison, now)
-        elif node.waiting == 0:
-            node.transition(ActionState.READY)
-            node.t_ready = now
-            return True
-        return False
+        return deps, dangling
 
     @caller_locked("_lock")
     def _admission_poison(
@@ -811,7 +673,7 @@ class Scheduler:
         action, or its operands conflict with one: the ordering edge
         the dead producer would have supplied.
         """
-        if not self._poisoned or self.failure_policy == "fail_fast":
+        if self.failure_policy == "fail_fast":
             return None
         for dep in dep_actions:
             if dep.seq in self._poisoned:

@@ -48,9 +48,6 @@ __all__ = ["StreamService", "serve_unix"]
 class _CompletionObserver(SchedulerObserver):
     """Forward terminal action records onto the service's event loop."""
 
-    #: Batched replay admission may skip materializing dep edges for us.
-    wants_deps = False
-
     def __init__(self, service: "StreamService"):
         self._service = service
 

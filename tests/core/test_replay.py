@@ -103,20 +103,21 @@ class TestCaptureTemplate:
         assert hs.metrics()["actions"]["completed"] == 5
         hs.fini()
 
-    def test_stat_delta_counts_by_kind(self):
+    def test_replay_counts_stats_by_kind(self):
         hs = scale_runtime()
         s = hs.stream_create(domain=1, ncores=4)
         buf = hs.wrap(np.arange(8.0))
         g = capture_pipeline(hs, s, buf)
-        delta = g.stat_delta()
-        assert delta["computes"] == 1
-        assert delta["transfers"] == 2
-        assert delta["bytes_transferred"] == 2 * buf.nbytes
         before = dict(hs.stats)
         hs.replay(g)
         hs.thread_synchronize()
         assert hs.stats["computes"] == before["computes"] + 1
         assert hs.stats["transfers"] == before["transfers"] + 2
+        assert hs.stats["syncs"] == before["syncs"]
+        assert (
+            hs.stats["bytes_transferred"]
+            == before["bytes_transferred"] + 2 * buf.nbytes
+        )
         hs.fini()
 
 
