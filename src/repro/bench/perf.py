@@ -24,6 +24,9 @@ Benches:
   The process number prices one pipelined IPC command per action; it
   exists to make that cost visible next to the in-process backends,
   not to win.
+* ``completion_retire`` — heap blocks the completion path retains per
+  retired action (sim backend, gc off): the lifecycle record and what
+  it holds, net of the graph node it replaces. Gated, lower is better.
 * ``live_threads`` — OS threads a thread-backend runtime keeps alive
   with 10 000 live streams that each ran one action. Streams are slots
   in a per-domain worker set bounded by the device's cores, so the
@@ -351,6 +354,58 @@ def bench_dispatch_throughput(rows: List[PerfRow], count: int) -> None:
                 backend,
             )
         )
+
+
+def bench_completion_allocations(rows: List[PerfRow], count: int) -> None:
+    """Heap blocks the completion path retains per retired action (sim).
+
+    Admits ``count`` computes (a dependent chain on each of four
+    streams) before virtual time moves, then counts the blocks still
+    allocated after the engine ran and retired them all: the lifecycle
+    record and what it holds, net of the graph node it replaces.
+    ``count`` stays within the default record history, so every record
+    is kept. A warm-up runtime runs first, so first-use caches are not
+    counted.
+    """
+    from repro.core.runtime import HStreams
+    from repro.sim.kernels import KernelCost
+    from repro.sim.platforms import make_platform
+
+    def blocks_per_completion() -> float:
+        hs = HStreams(platform=make_platform("HSW", 1), backend="sim", trace=False)
+        hs.register_kernel(
+            "noop", cost_fn=lambda *_args: KernelCost("noop", flops=1e3, size=1.0)
+        )
+        streams = [hs.stream_create(domain=1, ncores=4) for _ in range(4)]
+        operands = [hs.buffer_create(nbytes=64).all_inout() for _ in streams]
+        events = [
+            hs.enqueue_compute(streams[i % 4], "noop", operands=(operands[i % 4],))
+            for i in range(count)
+        ]
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            blocks0 = sys.getallocatedblocks()
+            hs.thread_synchronize()
+            blocks = sys.getallocatedblocks() - blocks0
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        assert all(ev.record is not None for ev in events)
+        hs.fini()
+        return blocks / count
+
+    blocks_per_completion()
+    rows.append(
+        PerfRow(
+            "completion_retire:chains4",
+            "allocated_blocks_per_completion",
+            blocks_per_completion(),
+            GATED_UNIT,
+            count,
+            "sim",
+        )
+    )
 
 
 def bench_live_threads(rows: List[PerfRow], streams: int) -> None:
@@ -987,6 +1042,7 @@ def run_suite(
     bench_enqueue_scan(rows, depths, probes)
     bench_enqueue_admission(rows, depths, measure)
     bench_dispatch_throughput(rows, count)
+    bench_completion_allocations(rows, 512)
     bench_live_threads(rows, 1000 if quick else 10000)
     bench_cpu_scaling(
         rows, reps=4 if quick else 12, actions=3 if quick else 6, gate=not quick

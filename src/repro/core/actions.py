@@ -47,19 +47,24 @@ def next_action_seq() -> int:
 
 
 class OperandMode(enum.Enum):
-    """How an action accesses an operand range."""
+    """How an action accesses an operand range.
+
+    ``reads`` and ``writes`` are plain member attributes, set once
+    below: admission and completion test them per operand.
+    """
 
     IN = "in"
     OUT = "out"
     INOUT = "inout"
 
-    @property
-    def reads(self) -> bool:
-        return self in (OperandMode.IN, OperandMode.INOUT)
+    reads: bool
+    writes: bool
 
-    @property
-    def writes(self) -> bool:
-        return self in (OperandMode.OUT, OperandMode.INOUT)
+
+for _mode in OperandMode:
+    _mode.reads = _mode is not OperandMode.OUT
+    _mode.writes = _mode is not OperandMode.IN
+del _mode
 
 
 class ActionKind(enum.Enum):

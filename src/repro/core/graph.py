@@ -44,8 +44,16 @@ the work).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.errors import HStreamsInternalError
 from repro.core.sync import caller_locked, guarded_by
@@ -57,7 +65,14 @@ __all__ = ["ActionState", "ActionRecord", "ActionNode", "ActionGraph"]
 
 
 class ActionState(enum.Enum):
-    """Lifecycle states of an enqueued action."""
+    """Lifecycle states of an enqueued action.
+
+    Each member carries its legal successors (``successors``, a tuple)
+    and whether it is final (``is_terminal``), both derived once from
+    :data:`_TRANSITIONS` below. Lifecycle checks on the completion path
+    are then a C-level identity scan of a short tuple — ``Enum.__hash__``
+    is a Python-level call, too dear to pay per transition.
+    """
 
     ENQUEUED = "enqueued"
     READY = "ready"
@@ -66,14 +81,10 @@ class ActionState(enum.Enum):
     FAILED = "failed"
     CANCELLED = "cancelled"
 
-    @property
-    def is_terminal(self) -> bool:
-        """Whether the action finished (successfully or not)."""
-        return self in (
-            ActionState.COMPLETE,
-            ActionState.FAILED,
-            ActionState.CANCELLED,
-        )
+    #: The states this one may move to (see :data:`_TRANSITIONS`).
+    successors: Tuple["ActionState", ...]
+    #: Whether the action finished (successfully or not).
+    is_terminal: bool
 
 
 #: Legal lifecycle transitions. READY -> COMPLETE/FAILED is allowed so
@@ -83,31 +94,36 @@ class ActionState(enum.Enum):
 #: (READY covers the race where the last dependence completes and a
 #: sibling producer fails before the dispatched action starts).
 _TRANSITIONS = {
-    ActionState.ENQUEUED: {ActionState.READY, ActionState.CANCELLED},
-    ActionState.READY: {
+    ActionState.ENQUEUED: (ActionState.READY, ActionState.CANCELLED),
+    ActionState.READY: (
         ActionState.RUNNING,
         ActionState.COMPLETE,
         ActionState.FAILED,
         ActionState.CANCELLED,
         ActionState.READY,
-    },
-    ActionState.RUNNING: {
+    ),
+    ActionState.RUNNING: (
         ActionState.COMPLETE,
         ActionState.FAILED,
         ActionState.READY,
-    },
-    ActionState.COMPLETE: set(),
-    ActionState.FAILED: set(),
-    ActionState.CANCELLED: set(),
+    ),
+    ActionState.COMPLETE: (),
+    ActionState.FAILED: (),
+    ActionState.CANCELLED: (),
 }
 
+for _state, _succ in _TRANSITIONS.items():
+    _state.successors = _succ
+    _state.is_terminal = not _succ
+del _state, _succ
 
-@dataclass(frozen=True)
-class ActionRecord:
+
+class ActionRecord(NamedTuple):
     """Immutable lifecycle summary of one finished action.
 
     Timestamps are on the owning backend's clock (wall seconds for the
-    thread backend, virtual seconds for the sim backend).
+    thread backend, virtual seconds for the sim backend). A tuple, not a
+    dataclass: one is built per retired action.
     """
 
     seq: int
@@ -178,7 +194,7 @@ class ActionNode:
 
     def transition(self, new: ActionState) -> None:
         """Move to ``new``, validating against the lifecycle machine."""
-        if new not in _TRANSITIONS[self.state]:
+        if new not in self.state.successors:
             raise HStreamsInternalError(
                 f"illegal lifecycle transition {self.state.value} -> "
                 f"{new.value} for {self.action.display!r}"
@@ -186,22 +202,38 @@ class ActionNode:
         self.state = new
 
     def record(self) -> ActionRecord:
-        """Snapshot this node as an immutable lifecycle record."""
-        t_end = self.t_end if self.t_end is not None else self.t_enqueue
-        t_ready = self.t_ready if self.t_ready is not None else t_end
-        t_start = self.t_start if self.t_start is not None else t_ready
+        """Snapshot this node as an immutable lifecycle record.
+
+        Missing timestamps backfill from the next earlier one (a node
+        that never ran reads as zero-length stalls). ``_value_`` is the
+        member's plain value slot: ``Enum.value`` is a Python-level
+        property.
+        """
+        action = self.action
+        t_enqueue = self.t_enqueue
+        t_end = self.t_end
+        if t_end is None:
+            t_end = t_enqueue
+        t_ready = self.t_ready
+        if t_ready is None:
+            t_ready = t_end
+        t_start = self.t_start
+        if t_start is None:
+            t_start = t_ready
+        stream = action.stream
+        error = self.error
         return ActionRecord(
-            seq=self.action.seq,
-            kind=self.action.kind.value,
-            stream_id=self.action.stream.id if self.action.stream else -1,
-            label=self.action.display,
-            state=self.state.value,
-            t_enqueue=self.t_enqueue,
-            t_ready=t_ready,
-            t_start=t_start,
-            t_end=t_end,
-            error=str(self.error) if self.error is not None else None,
-            retries=self.attempts,
+            action.seq,
+            action.kind._value_,
+            stream.id if stream is not None else -1,
+            action.display,
+            self.state._value_,
+            t_enqueue,
+            t_ready,
+            t_start,
+            t_end,
+            None if error is None else str(error),
+            self.attempts,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

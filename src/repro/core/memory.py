@@ -701,14 +701,22 @@ class MemoryManager(SchedulerObserver):
         compute leaves its instance clean rather than DIRTY, so
         pressure/manual eviction of poisoned instances stays legal.
         """
-        if record.state in ("failed", "cancelled"):
-            self._rollback_action(action)
+        # Completion's per-action observer: as in on_enqueue, the
+        # coherence lookup is hoisted and the LRU touches share one
+        # tick-counter writeback.
+        coherence = self.coherence
+        if record.state == "complete":
+            apply_action_writes(coherence, action)
         else:
-            apply_action_writes(self.coherence, action)
+            self._rollback_action(action)
         stream = action.stream
         if stream is not None:
+            domain = stream.domain
+            tick = self._tick
             for op in action.operands:
-                self._touch(self.coherence(op.buffer), stream.domain)
+                tick += 1
+                coherence(op.buffer).last_touch[domain] = tick
+            self._tick = tick
 
     @caller_locked("_lock")
     def _rollback_action(self, action: "Action") -> None:

@@ -799,30 +799,30 @@ class Scheduler:
         the window entry, then releases (on success) or transitively
         cancels (on failure) the dependents.
         """
-        backend = self.runtime.backend
         action = node.action
-        assert action.completion is not None
-        action.completion.timestamp = end
-        backend.signal_completion(action.completion, end)
+        completion = action.completion
+        assert completion is not None
+        completion.timestamp = end
+        self.runtime.backend.signal_completion(completion, end)
         record = node.record()
-        action.completion.record = record
+        completion.record = record
         if self._records.maxlen != 0:
             self._records.append(record)
-        self._fold(node, record)
-        for obs in self.observers:
-            obs.on_action_complete(action, record)
         stream = action.stream
         assert stream is not None
+        stats = self._streams.get(stream.id) or self._stream_stats(stream)
+        state = node.state
+        self._fold(stats, state, record)
+        for obs in self.observers:
+            obs.on_action_complete(action, record)
         stream.window.retire(action)
-        stats = self._stream_stats(stream)
         stats.depth -= 1
         if stream.namespace:
             self._ns_inflight[stream.namespace] -= 1
         tracer = self.runtime.tracer
         if tracer.enabled:
             tracer.counter(f"sched:{stream.lane}", end, stats.depth)
-        failed = node.state is not ActionState.COMPLETE
-        if failed:
+        if state is not ActionState.COMPLETE:
             assert node.error is not None
             self._poisoned[action.seq] = (action, node.error)
             root = node.error
@@ -832,7 +832,7 @@ class Scheduler:
                 self._cancel_subgraph(dep_node, root, end)
             if (
                 self.failure_policy == "fail_fast"
-                and node.state is ActionState.FAILED
+                and state is ActionState.FAILED
             ):
                 # Graph-wide cancellation stops at the namespace border:
                 # a tenant's fail_fast takes down that tenant's pending
@@ -889,28 +889,41 @@ class Scheduler:
         self._finish_node(node, end, [])
 
     @caller_locked("_lock")
-    def _fold(self, node, record: ActionRecord) -> None:
-        """Accumulate one finished node into the aggregates."""
-        stats = self._stream_stats(node.action.stream)
-        if node.state is ActionState.FAILED:
-            stats.failed += 1
-            self._totals["failed"] += 1
-        elif node.state is ActionState.CANCELLED:
-            stats.cancelled += 1
-            self._totals["cancelled"] += 1
-        else:
+    def _fold(
+        self, stats: StreamStats, state: ActionState, record: ActionRecord
+    ) -> None:
+        """Accumulate one finished action into the totals, its stream's
+        ``stats`` and its kind's row.
+
+        ``state`` is the node's terminal state. The record's fields are
+        read once and the three stalls computed here, with the same
+        arithmetic as the record's properties.
+        """
+        t_ready = record.t_ready
+        t_start = record.t_start
+        dep_stall = t_ready - record.t_enqueue
+        dispatch_stall = t_start - t_ready
+        exec_s = record.t_end - t_start
+        totals = self._totals
+        if state is ActionState.COMPLETE:
             stats.completed += 1
-            self._totals["completed"] += 1
-        stats.dep_stall_s += record.dep_stall
-        stats.dispatch_stall_s += record.dispatch_stall
-        stats.exec_s += record.exec_time
-        self._totals["dep_stall_s"] += record.dep_stall
-        self._totals["dispatch_stall_s"] += record.dispatch_stall
-        self._totals["exec_s"] += record.exec_time
-        kind = self._by_kind[record.kind]
-        kind["count"] += 1
-        kind["dep_stall_s"] += record.dep_stall
-        kind["exec_s"] += record.exec_time
+            totals["completed"] += 1
+        elif state is ActionState.FAILED:
+            stats.failed += 1
+            totals["failed"] += 1
+        else:
+            stats.cancelled += 1
+            totals["cancelled"] += 1
+        stats.dep_stall_s += dep_stall
+        stats.dispatch_stall_s += dispatch_stall
+        stats.exec_s += exec_s
+        totals["dep_stall_s"] += dep_stall
+        totals["dispatch_stall_s"] += dispatch_stall
+        totals["exec_s"] += exec_s
+        row = self._by_kind[record.kind]
+        row["count"] += 1
+        row["dep_stall_s"] += dep_stall
+        row["exec_s"] += exec_s
 
     # -- observer notifications ---------------------------------------------------
 

@@ -92,6 +92,7 @@ class TestSuite:
             "enqueue_scan",
             "enqueue_admission",
             "dispatch_throughput",
+            "completion_retire",
             "cpu_scaling",
             "transfer_overhead",
             "elision",

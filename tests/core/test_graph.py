@@ -89,6 +89,32 @@ class TestLifecycle:
         for s in (ActionState.ENQUEUED, ActionState.READY, ActionState.RUNNING):
             assert not s.is_terminal
 
+    def test_every_pair_against_the_written_table(self):
+        # The lifecycle machine written out here, independently of
+        # graph._TRANSITIONS: a dropped or added edge fails this test.
+        E, R, U = ActionState.ENQUEUED, ActionState.READY, ActionState.RUNNING
+        C, F, X = ActionState.COMPLETE, ActionState.FAILED, ActionState.CANCELLED
+        legal = {
+            (E, R), (E, X),
+            (R, U), (R, C), (R, F), (R, X), (R, R),
+            (U, C), (U, F), (U, R),
+        }
+        assert len(ActionState) == 6
+        for old in ActionState:
+            for new in ActionState:
+                node = ActionNode(mk_action(), t_enqueue=0.0)
+                node.state = old
+                if (old, new) in legal:
+                    node.transition(new)
+                    assert node.state is new
+                else:
+                    with pytest.raises(HStreamsInternalError):
+                        node.transition(new)
+                    assert node.state is old
+        terminal = {C, F, X}
+        for state in ActionState:
+            assert state.is_terminal is (state in terminal)
+
 
 class TestRecord:
     def test_stall_decomposition(self):
@@ -106,6 +132,27 @@ class TestRecord:
         assert rec.exec_time == pytest.approx(2.5)
         assert rec.total_latency == pytest.approx(6.0)
         assert rec.state == "complete"
+
+    def test_record_contract(self):
+        # Field names, order and defaults are part of the record's API
+        # (schedule pins and service replies read them).
+        assert ActionRecord._fields == (
+            "seq", "kind", "stream_id", "label", "state",
+            "t_enqueue", "t_ready", "t_start", "t_end", "error", "retries",
+        )
+        rec = ActionRecord(7, "compute", 2, "k#7", "failed", 1.0, 3.0, 4.5, 7.0)
+        assert rec.error is None and rec.retries == 0
+        assert rec == ActionRecord(
+            seq=7, kind="compute", stream_id=2, label="k#7", state="failed",
+            t_enqueue=1.0, t_ready=3.0, t_start=4.5, t_end=7.0,
+            error=None, retries=0,
+        )
+        assert (rec.dep_stall, rec.dispatch_stall) == (2.0, 1.5)
+        assert (rec.exec_time, rec.total_latency) == (2.5, 6.0)
+        for name in ActionRecord._fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, 0)
+        assert rec.seq == 7
 
     def test_missing_timestamps_backfill(self):
         # A node that never ran still yields a consistent record.

@@ -387,11 +387,15 @@ class TestPipelining:
 
 
 def _wait_for_worker(hs, domain, timeout=10.0):
-    """The pid of ``domain``'s worker once its first dispatch spawned it."""
+    """The pid of ``domain``'s worker once a compute has been shipped to it.
+
+    The worker is spawned before its first compute is shipped; killing
+    it in that window would let a respawned worker run the compute.
+    """
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         w = hs.backend._workers.get(domain)
-        if w is not None and w.process.pid is not None:
+        if w is not None and w.process.pid is not None and w.inflight:
             return w.process.pid
         time.sleep(0.01)
     raise AssertionError(f"no worker appeared for domain {domain}")
