@@ -878,6 +878,10 @@ class Scheduler:
         """
         if node.state is not ActionState.ENQUEUED:
             return
+        # A failure may precede (in virtual time) the host enqueue of
+        # work it poisons; the cancellation cannot end before that.
+        if end < node.t_enqueue:
+            end = node.t_enqueue
         err = HStreamsCancelled(
             f"{node.action.display!r} cancelled: a producer it depends on "
             f"failed ({type(root).__name__}: {root})"

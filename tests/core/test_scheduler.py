@@ -178,8 +178,10 @@ class TestMetricsIdentities:
             assert row["count"] == len(mine)
             assert row["dep_stall_s"] == sum(r.dep_stall for r in mine)
             assert row["exec_s"] == sum(r.exec_time for r in mine)
+        for r in records:
+            assert r.t_enqueue <= r.t_ready <= r.t_start <= r.t_end, r
         life = m["lifecycle"]
-        assert life["dep_stall_s"] != 0 and life["exec_s"] > 0
+        assert life["dep_stall_s"] > 0 and life["exec_s"] > 0
         assert life["dep_stall_s"] == sum(r.dep_stall for r in records)
         assert life["dispatch_stall_s"] == sum(r.dispatch_stall for r in records)
         assert life["exec_s"] == sum(r.exec_time for r in records)
