@@ -21,16 +21,6 @@ DESIGN.md ("Happens-before model and the hazard analyzer") for the
 model and the full rule catalog.
 """
 
-from repro.analysis.capture import (
-    ActionEvent,
-    BufferEvent,
-    CaptureBackend,
-    ProgramCapture,
-    ProgramTrace,
-    StreamEvent,
-    SyncEvent,
-    capture_session,
-)
 from repro.analysis.checker import (
     OnlineChecker,
     Report,
@@ -41,7 +31,17 @@ from repro.analysis.checker import (
 )
 from repro.analysis.diagnostics import RULES, ActionRef, Diagnostic, Rule, Severity
 from repro.analysis.hb import HOST, HBState, RaceDetector, VectorClock
-from repro.analysis.lints import IntervalSet
+from repro.core.capture import (
+    ActionEvent,
+    BufferEvent,
+    CaptureBackend,
+    ProgramCapture,
+    ProgramTrace,
+    StreamEvent,
+    SyncEvent,
+    capture_session,
+)
+from repro.core.memory import IntervalSet
 
 __all__ = [
     "ActionEvent",

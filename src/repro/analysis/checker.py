@@ -3,10 +3,10 @@
 :class:`RuleEngine` wires the happens-before engine, the race detector,
 and the lint passes behind one deduplicating diagnostic sink;
 :func:`analyze_trace` runs it over a captured
-:class:`~repro.analysis.capture.ProgramTrace`.
+:class:`~repro.core.capture.ProgramTrace`.
 
 :func:`check_program` is the whole pipeline for a program file: run it
-inside :func:`~repro.analysis.capture.capture_session` (so every runtime
+inside :func:`~repro.core.capture.capture_session` (so every runtime
 it constructs records instead of executing), analyze every captured
 trace, and apply ``# hsan: ignore[rule]`` waivers from the program
 source. It backs the CLI (``python -m repro.analysis``).
@@ -23,7 +23,7 @@ import runpy
 import sys
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro.analysis.diagnostics import RULES, ActionRef, Diagnostic, Severity
 from repro.analysis.waivers import parse_waivers as parse_shared_waivers

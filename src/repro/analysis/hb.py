@@ -39,15 +39,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.capture import ActionEvent, SyncEvent
 from repro.analysis.diagnostics import ActionRef, Diagnostic
+from repro.core.capture import ActionEvent, SyncEvent
+from repro.core.memory import instance_accesses
 
-# Re-exported for compatibility: the physical-access enumeration moved
-# into the runtime's memory subsystem, which shares it with the live
-# coherence state machine (see repro.core.memory).
-from repro.core.memory import instance_accesses  # noqa: F401
-
-__all__ = ["HOST", "VectorClock", "HBState", "RaceDetector", "instance_accesses"]
+__all__ = ["HOST", "VectorClock", "HBState", "RaceDetector"]
 
 #: Clock component of the source (host) thread.
 HOST = -1
@@ -100,8 +96,8 @@ class VectorClock:
 class HBState:
     """Incremental happens-before over a captured (or live) event feed.
 
-    Feed :class:`~repro.analysis.capture.ActionEvent` and
-    :class:`~repro.analysis.capture.SyncEvent` objects in program order
+    Feed :class:`~repro.core.capture.ActionEvent` and
+    :class:`~repro.core.capture.SyncEvent` objects in program order
     via :meth:`feed`; query with :meth:`happens_before` /
     :meth:`ordered` / :meth:`host_observed` at any point.
     """

@@ -19,23 +19,18 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.capture import ActionEvent, BufferEvent
 from repro.analysis.diagnostics import ActionRef, Diagnostic
-from repro.analysis.hb import HBState, instance_accesses
+from repro.analysis.hb import HBState
 from repro.core.actions import ActionKind
-
-# Re-exported for compatibility: the interval algebra and the coherence
-# state machine now live in the runtime's memory subsystem, and the
-# lints replay the very same committed transitions the live
-# MemoryManager performs (see repro.core.memory).
-from repro.core.memory import (  # noqa: F401  (IntervalSet re-export)
+from repro.core.capture import ActionEvent, BufferEvent
+from repro.core.memory import (
     BufferCoherence,
     IntervalSet,
     apply_action_writes,
+    instance_accesses,
 )
 
 __all__ = [
-    "IntervalSet",
     "LintPass",
     "BufferStateLint",
     "UnwaitedEventLint",

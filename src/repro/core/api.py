@@ -1,92 +1,28 @@
-"""The C-style hStreams API facade.
+"""A C-style ``hStreams_*`` facade over a process-global runtime.
 
-The original library is a C API: a process-global runtime manipulated
-through ``hStreams_*`` functions, split into the high-level **app API**
-(automatic resource partitioning, convenience transfers/BLAS) and the
-low-level **core API** (explicit logical/physical mapping). Ported
-applications call these names; this module provides them 1:1 over a
-module-global :class:`~repro.core.runtime.HStreams` instance so such
-ports read almost line-for-line.
+The slice of the C API that carries the paper's point (§IV, vs CUDA's
+opaque pointers): streams are plain integers, and buffers are addressed
+by their *source proxy address* — any ``int`` inside a created buffer
+resolves, through the unified proxy address space, to that buffer::
 
-Streams are plain integers here, exactly as the paper emphasizes
-(§IV, vs CUDA's opaque pointers). Buffers are addressed by their *source
-proxy address* — any ``int`` inside a created buffer resolves through
-the unified proxy address space.
-
-Example (compare the C examples in the paper's ref. [1])::
-
-    from repro.core import api as hstr
-
-    hstr.hStreams_app_init(2, 1)                  # 2 streams per domain
-    addr = hstr.hStreams_app_create_buf(nbytes=1 << 20)
-    hstr.hStreams_app_xfer_memory(0, addr, addr, 1 << 20,
-                                  hstr.HSTR_SRC_TO_SINK)
-    ...
-    hstr.hStreams_app_fini()
+    ids = hStreams_app_init(2, 1)                 # 2 streams per card
+    addr = hStreams_app_create_buf(nbytes=1 << 20)
+    hStreams_app_xfer_memory(ids[0], addr, addr, 1 << 20, HSTR_SRC_TO_SINK)
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.actions import Operand, OperandMode, XferDirection
-from repro.core.buffer import Buffer
-from repro.core.errors import (
-    HStreamsBadArgument,
-    HStreamsNotFound,
-    HStreamsNotInitialized,
-)
+from repro.core.errors import HStreamsBadArgument, HStreamsNotInitialized
 from repro.core.events import HEvent
-from repro.core.properties import RuntimeConfig
 from repro.core.runtime import HStreams
 from repro.core.stream import Stream
-from repro.sim.kernels import dgemm as _dgemm_cost
-from repro.sim.platforms import Platform
-
-__all__ = [
-    "HSTR_SRC_TO_SINK",
-    "HSTR_SINK_TO_SRC",
-    "hStreams_Init",
-    "hStreams_IsInitialized",
-    "hStreams_Fini",
-    "hStreams_GetNumPhysDomains",
-    "hStreams_GetPhysDomainDetails",
-    "hStreams_app_init",
-    "hStreams_app_fini",
-    "hStreams_app_create_buf",
-    "hStreams_app_xfer_memory",
-    "hStreams_app_invoke",
-    "hStreams_app_memset",
-    "hStreams_app_memcpy",
-    "hStreams_app_dgemm",
-    "hStreams_app_event_wait",
-    "hStreams_app_stream_sync",
-    "hStreams_app_thread_sync",
-    "hStreams_app_broadcast",
-    "hStreams_app_scatter",
-    "hStreams_app_gather",
-    "hStreams_app_reduce",
-    "hStreams_app_allreduce",
-    "hStreams_StreamCreate",
-    "hStreams_EnqueueCompute",
-    "hStreams_EnqueueData1D",
-    "hStreams_EventStreamWait",
-    "hStreams_EventWait",
-    "hStreams_StreamSynchronize",
-    "hStreams_ThreadSynchronize",
-    "hStreams_Alloc1D",
-    "hStreams_DeAlloc",
-    "hStreams_RegisterSinkFunction",
-    "runtime",
-]
 
 HSTR_SRC_TO_SINK = XferDirection.SRC_TO_SINK
 HSTR_SINK_TO_SRC = XferDirection.SINK_TO_SRC
 
-_lock = threading.Lock()
 _rt: Optional[HStreams] = None
 _streams: Dict[int, Stream] = {}
 
@@ -94,137 +30,61 @@ _streams: Dict[int, Stream] = {}
 def runtime() -> HStreams:
     """The process-global runtime (raises if not initialized)."""
     if _rt is None:
-        raise HStreamsNotInitialized(
-            "call hStreams_Init() or hStreams_app_init() first"
-        )
+        raise HStreamsNotInitialized("call hStreams_app_init() first")
     return _rt
 
 
-def _register(stream: Stream) -> int:
-    _streams[stream.id] = stream
-    return stream.id
-
-
-def _stream(stream_id: int) -> Stream:
-    try:
-        return _streams[stream_id]
-    except KeyError:
-        raise HStreamsNotFound(f"no stream with id {stream_id}") from None
-
-
-def _resolve(addr: int, nbytes: int, mode: OperandMode) -> Operand:
-    buf, off = runtime().proxy_space.resolve(addr)
-    return Operand(buf, off, nbytes, mode)
-
-
-# -- lifecycle -------------------------------------------------------------------
-
-
-def hStreams_Init(
-    platform: Optional[Platform] = None,
-    backend: str = "thread",
-    config: Optional[RuntimeConfig] = None,
-    trace: bool = False,
-) -> None:
-    """Initialize the process-global runtime (core API entry point)."""
+def hStreams_Init(**runtime_kw) -> None:
+    """Create the process-global :class:`HStreams` (untraced by default)."""
     global _rt
-    with _lock:
-        if _rt is not None:
-            raise HStreamsBadArgument("hStreams is already initialized")
-        _rt = HStreams(platform=platform, backend=backend, config=config, trace=trace)
-
-
-def hStreams_IsInitialized() -> bool:
-    """Whether the process-global runtime exists."""
-    return _rt is not None
+    if _rt is not None:
+        raise HStreamsBadArgument("hStreams is already initialized")
+    _rt = HStreams(**{"trace": False, **runtime_kw})
 
 
 def hStreams_Fini() -> None:
-    """Tear the process-global runtime down."""
+    """Tear the process-global runtime down (idempotent)."""
     global _rt
-    with _lock:
-        if _rt is not None:
-            _rt.fini()
-            _rt = None
-            _streams.clear()
-
-
-# -- discovery --------------------------------------------------------------------
-
-
-def hStreams_GetNumPhysDomains() -> Tuple[int, int]:
-    """(number of physical domains excluding the host, host index)."""
-    return runtime().ndomains - 1, 0
-
-
-def hStreams_GetPhysDomainDetails(domain: int) -> Dict[str, Any]:
-    """Discoverable properties of one domain (paper §II)."""
-    return runtime().domain(domain).props
-
-
-# -- app API ------------------------------------------------------------------------
+    if _rt is not None:
+        _rt.fini()
+        _rt = None
+        _streams.clear()
 
 
 def hStreams_app_init(
-    streams_per_domain: int,
-    log_stream_oversubscription: int = 1,
-    use_host: bool = False,
-    platform: Optional[Platform] = None,
-    backend: str = "thread",
-    config: Optional[RuntimeConfig] = None,
-    trace: bool = False,
+    streams_per_domain: int, log_stream_oversubscription: int = 1, **runtime_kw
 ) -> List[int]:
-    """Initialize and evenly partition resources into streams.
-
-    Mirrors ``hStreams_app_init(in_StreamsPerDomain,
-    in_LogStreamOversubscription)``: discovers the domains and divides
-    each into ``streams_per_domain`` places with the requested logical
-    oversubscription. Returns the created stream ids.
-    """
-    if not hStreams_IsInitialized():
-        hStreams_Init(platform=platform, backend=backend, config=config, trace=trace)
+    """Initialize if needed, then split every card evenly into streams,
+    as the C ``hStreams_app_init`` does. Returns the stream ids."""
+    if _rt is None:
+        hStreams_Init(**runtime_kw)
     created = runtime().app_init(
-        streams_per_domain, oversubscription=log_stream_oversubscription,
-        use_host=use_host,
+        streams_per_domain, oversubscription=log_stream_oversubscription
     )
-    return [_register(s) for s in created]
+    _streams.update((s.id, s) for s in created)
+    return [s.id for s in created]
 
 
-def hStreams_app_fini() -> None:
-    """App-API teardown."""
-    hStreams_Fini()
-
-
-def hStreams_app_create_buf(
-    nbytes: Optional[int] = None, array: Optional[np.ndarray] = None
-) -> int:
+def hStreams_app_create_buf(nbytes: Optional[int] = None, array=None) -> int:
     """Create a buffer; returns its source proxy base address."""
-    buf = runtime().buffer_create(nbytes=nbytes, array=array)
-    return buf.proxy_base
+    return runtime().buffer_create(nbytes=nbytes, array=array).proxy_base
+
+
+def hStreams_DeAlloc(addr: int) -> None:
+    """Destroy the buffer containing ``addr``."""
+    runtime().buffer_destroy(runtime().proxy_space.resolve(addr)[0])
 
 
 def hStreams_app_xfer_memory(
-    stream_id: int,
-    dst_addr: int,
-    src_addr: int,
-    nbytes: int,
-    direction: XferDirection,
+    stream_id: int, dst_addr: int, src_addr: int, nbytes: int, direction: XferDirection
 ) -> HEvent:
-    """Asynchronous transfer between the source and a stream's sink.
-
-    As in the C API, source and sink sides of one buffer share a proxy
-    address, so ``dst_addr``/``src_addr`` normally coincide; they must
-    resolve into the same buffer.
-    """
-    dst = runtime().proxy_space.resolve(dst_addr)
-    src = runtime().proxy_space.resolve(src_addr)
-    if dst[0] is not src[0]:
-        raise HStreamsBadArgument(
-            "xfer endpoints resolve to different buffers; hStreams "
-            "transfers move one buffer between its domain instances"
-        )
-    op = Operand(dst[0], dst[1], nbytes, OperandMode.INOUT)
-    return runtime().enqueue_xfer(_stream(stream_id), op, direction)
+    """Move one buffer's range between the source and a stream's sink;
+    both sides share a proxy address, so both must resolve to it."""
+    buf, off = runtime().proxy_space.resolve(dst_addr)
+    if runtime().proxy_space.resolve(src_addr)[0] is not buf:
+        raise HStreamsBadArgument("xfer endpoints resolve to different buffers")
+    op = Operand(buf, off, nbytes, OperandMode.INOUT)
+    return runtime().enqueue_xfer(_streams[stream_id], op, direction)
 
 
 def hStreams_app_invoke(
@@ -233,14 +93,9 @@ def hStreams_app_invoke(
     scalar_args: Sequence = (),
     heap_args: Sequence[int] = (),
     heap_nbytes: Sequence[int] = (),
-    cost=None,
 ) -> HEvent:
-    """Invoke a registered sink function with scalar + heap arguments.
-
-    ``heap_args`` are proxy addresses; each resolves to an operand of
-    the matching ``heap_nbytes`` entry (whole remaining buffer if
-    omitted), passed to the function after the scalars.
-    """
+    """Invoke a sink function on ``scalar_args``, then one operand per proxy
+    address in ``heap_args`` (``heap_nbytes`` each, else to buffer end)."""
     if heap_nbytes and len(heap_nbytes) != len(heap_args):
         raise HStreamsBadArgument("heap_nbytes must match heap_args")
     ops = []
@@ -249,231 +104,17 @@ def hStreams_app_invoke(
         nbytes = heap_nbytes[i] if heap_nbytes else buf.nbytes - off
         ops.append(Operand(buf, off, nbytes, OperandMode.INOUT))
     return runtime().enqueue_compute(
-        _stream(stream_id), func_name, args=tuple(scalar_args) + tuple(ops), cost=cost
+        _streams[stream_id], func_name, args=(*scalar_args, *ops)
     )
-
-
-def _ensure_builtin_kernels() -> None:
-    rt = runtime()
-    try:
-        rt.kernel("__memset")
-    except HStreamsNotFound:
-        def k_memset(view: np.ndarray, value: int) -> None:
-            view.view(np.uint8)[:] = value
-
-        def k_memcpy(dst: np.ndarray, src: np.ndarray) -> None:
-            np.copyto(dst, src)
-
-        def k_dgemm(C, A, B, alpha, beta) -> None:
-            C *= beta
-            C += alpha * (A @ B)
-
-        from repro.sim.kernels import KernelCost
-
-        rt.register_kernel(
-            "__memset", fn=k_memset,
-            cost_fn=lambda view, value: KernelCost(
-                "default", flops=0.0, size=1.0, bytes_moved=view.nbytes
-            ),
-        )
-        rt.register_kernel(
-            "__memcpy", fn=k_memcpy,
-            cost_fn=lambda dst, src: KernelCost(
-                "default", flops=0.0, size=1.0, bytes_moved=2 * dst.nbytes
-            ),
-        )
-        rt.register_kernel(
-            "__dgemm", fn=k_dgemm,
-            cost_fn=lambda C, A, B, alpha, beta: _dgemm_cost(
-                C.shape[0], C.shape[1], A.shape[1]
-            ),
-        )
-
-
-def hStreams_app_memset(
-    stream_id: int, addr: int, value: int, nbytes: int
-) -> HEvent:
-    """Set ``nbytes`` at the sink to ``value`` (app-API convenience)."""
-    _ensure_builtin_kernels()
-    op = _resolve(addr, nbytes, OperandMode.OUT)
-    op = Operand(op.buffer, op.offset, nbytes, OperandMode.OUT,
-                 dtype=np.uint8, shape=(nbytes,))
-    return runtime().enqueue_compute(
-        _stream(stream_id), "__memset", args=(op, value), label="app_memset"
-    )
-
-
-def hStreams_app_memcpy(
-    stream_id: int, dst_addr: int, src_addr: int, nbytes: int
-) -> HEvent:
-    """Sink-side copy between two buffer ranges (app-API convenience)."""
-    _ensure_builtin_kernels()
-    dst = _resolve(dst_addr, nbytes, OperandMode.OUT)
-    src = _resolve(src_addr, nbytes, OperandMode.IN)
-    dst = Operand(dst.buffer, dst.offset, nbytes, OperandMode.OUT,
-                  dtype=np.uint8, shape=(nbytes,))
-    src = Operand(src.buffer, src.offset, nbytes, OperandMode.IN,
-                  dtype=np.uint8, shape=(nbytes,))
-    return runtime().enqueue_compute(
-        _stream(stream_id), "__memcpy", args=(dst, src), label="app_memcpy"
-    )
-
-
-def hStreams_app_dgemm(
-    stream_id: int,
-    m: int,
-    n: int,
-    k: int,
-    alpha: float,
-    a_addr: int,
-    b_addr: int,
-    beta: float,
-    c_addr: int,
-) -> HEvent:
-    """C = alpha A B + beta C at the sink (the paper's app-API xGEMM)."""
-    _ensure_builtin_kernels()
-
-    def tensor(addr, rows, cols, mode):
-        buf, off = runtime().proxy_space.resolve(addr)
-        return buf.tensor((rows, cols), offset=off, mode=mode)
-
-    return runtime().enqueue_compute(
-        _stream(stream_id),
-        "__dgemm",
-        args=(
-            tensor(c_addr, m, n, OperandMode.INOUT),
-            tensor(a_addr, m, k, OperandMode.IN),
-            tensor(b_addr, k, n, OperandMode.IN),
-            alpha,
-            beta,
-        ),
-        label="app_dgemm",
-    )
-
-
-def _coll_buffer(addr: int):
-    buf, off = runtime().proxy_space.resolve(addr)
-    if off != 0:
-        raise HStreamsBadArgument(
-            "collectives take a buffer base address; pass offset= for "
-            "an interior range"
-        )
-    return buf
-
-
-def hStreams_app_broadcast(addr: int, domains: Sequence[int], **kw):
-    """Replicate a buffer to ``domains`` over a planned schedule.
-
-    The collective lowers to pipelined chunk transfers (see
-    :mod:`repro.core.collectives`) instead of a per-domain transfer
-    loop. Returns a ``CollectiveResult``.
-    """
-    return runtime().broadcast(_coll_buffer(addr), domains, **kw)
-
-
-def hStreams_app_scatter(addr: int, domains: Sequence[int], **kw):
-    """Distribute contiguous slices of a buffer, one per domain."""
-    return runtime().scatter(_coll_buffer(addr), domains, **kw)
-
-
-def hStreams_app_gather(addr: int, domains: Sequence[int], **kw):
-    """Pull each domain's slice of a buffer back to the host."""
-    return runtime().gather(_coll_buffer(addr), domains, **kw)
-
-
-def hStreams_app_reduce(addr: int, domains: Sequence[int], **kw):
-    """Combine each domain's instance into the host's (op=sum/prod/max/min)."""
-    return runtime().reduce(_coll_buffer(addr), domains, **kw)
-
-
-def hStreams_app_allreduce(addr: int, domains: Sequence[int], **kw):
-    """Reduce into the host, then broadcast the result back out."""
-    return runtime().allreduce(_coll_buffer(addr), domains, **kw)
-
-
-def hStreams_app_event_wait(events: Sequence[HEvent]) -> None:
-    """Block the source until all ``events`` complete."""
-    runtime().event_wait(list(events), wait_all=True)
-
-
-def hStreams_app_stream_sync(stream_id: int) -> None:
-    """Block until a stream drains."""
-    runtime().stream_synchronize(_stream(stream_id))
-
-
-def hStreams_app_thread_sync() -> None:
-    """Block until all streams drain."""
-    runtime().thread_synchronize()
-
-
-# -- core API ----------------------------------------------------------------------
-
-
-def hStreams_StreamCreate(
-    domain: int,
-    cpu_mask: Optional[Sequence[int]] = None,
-    ncores: Optional[int] = None,
-) -> int:
-    """Create one stream with an explicit placement (core API)."""
-    return _register(
-        runtime().stream_create(domain=domain, cpu_mask=cpu_mask, ncores=ncores)
-    )
-
-
-def hStreams_EnqueueCompute(
-    stream_id: int, func_name: str, args: Sequence = (), cost=None
-) -> HEvent:
-    """Enqueue a compute action (core API; args may include Operands)."""
-    return runtime().enqueue_compute(_stream(stream_id), func_name, args=args, cost=cost)
-
-
-def hStreams_EnqueueData1D(
-    stream_id: int, addr: int, nbytes: int, direction: XferDirection
-) -> HEvent:
-    """Enqueue a 1-D transfer of a proxy range (core API)."""
-    op = _resolve(addr, nbytes, OperandMode.INOUT)
-    return runtime().enqueue_xfer(_stream(stream_id), op, direction)
-
-
-def hStreams_EventStreamWait(
-    stream_id: int, events: Sequence[HEvent], addrs: Optional[Sequence[int]] = None
-) -> HEvent:
-    """Enqueue a sync action; ``addrs`` scope it to those buffers."""
-    operands: Optional[List[Buffer]] = None
-    if addrs is not None:
-        operands = [runtime().proxy_space.resolve(a)[0] for a in addrs]
-    return runtime().event_stream_wait(_stream(stream_id), list(events), operands=operands)
-
-
-def hStreams_EventWait(
-    events: Sequence[HEvent], wait_all: bool = True, timeout: Optional[float] = None
-) -> None:
-    """Host-side wait on any/all of a set of events."""
-    runtime().event_wait(list(events), wait_all=wait_all, timeout=timeout)
-
-
-def hStreams_StreamSynchronize(stream_id: int) -> None:
-    """Core-API stream drain."""
-    runtime().stream_synchronize(_stream(stream_id))
-
-
-def hStreams_ThreadSynchronize() -> None:
-    """Core-API global drain."""
-    runtime().thread_synchronize()
-
-
-def hStreams_Alloc1D(nbytes: int, domains: Sequence[int] = ()) -> int:
-    """Allocate a buffer, optionally instantiating in ``domains``."""
-    return runtime().buffer_create(nbytes=nbytes, domains=domains).proxy_base
-
-
-def hStreams_DeAlloc(addr: int) -> None:
-    """Destroy the buffer containing ``addr``."""
-    buf, _ = runtime().proxy_space.resolve(addr)
-    runtime().buffer_destroy(buf)
 
 
 def hStreams_RegisterSinkFunction(name: str, fn=None, cost_fn=None) -> None:
-    """Register a sink-side function (the C library looks these up in
-    sink-side shared objects; here they are Python callables)."""
     runtime().register_kernel(name, fn=fn, cost_fn=cost_fn)
+
+
+def hStreams_app_event_wait(events: Sequence[HEvent]) -> None:
+    runtime().event_wait(list(events), wait_all=True)
+
+
+def hStreams_app_thread_sync() -> None:
+    runtime().thread_synchronize()

@@ -23,8 +23,8 @@ how the CLI checks programs that build their runtimes internally.
 These primitives started life inside :mod:`repro.analysis`; they moved
 here because graph replay (:mod:`repro.core.replay`) records templates
 with the same full-history policy recomputation the analyzer uses, and
-``core`` cannot depend on ``analysis``. The analyzer re-imports from
-here, so ``repro.analysis.capture`` remains a working import path.
+``core`` cannot depend on ``analysis``. The analyzer imports them from
+here.
 """
 
 from __future__ import annotations

@@ -29,9 +29,9 @@ retries.
 Edges run from a dependence (producer) to its dependent (consumer). The
 graph is acyclic *by construction*: actions enqueue one at a time with
 monotonically increasing sequence numbers, and an edge may only point
-from an older action to a newer one. :meth:`ActionGraph.add_edge`
-enforces that invariant — a back edge means runtime corruption, and is
-reported as a cycle. Deadlocks (actions waiting on events that will
+from an older action to a newer one. :meth:`ActionGraph.add` enforces
+that invariant — a back edge means runtime corruption, and is reported
+as a cycle. Deadlocks (actions waiting on events that will
 never fire, e.g. a cross-stream wait on work that was never enqueued)
 are detectable via :meth:`ActionGraph.stalled`.
 
@@ -309,19 +309,6 @@ class ActionGraph:
         if action is None:
             return None
         return self._nodes.get(action.seq)
-
-    def add_edge(self, dep: ActionNode, node: ActionNode) -> None:
-        """Register that ``node`` must wait for ``dep`` to finish.
-
-        Acyclicity check: edges may only run from older to newer actions.
-        A violation cannot arise from the public API (dependences are
-        always on already-enqueued work) — seeing one means the graph was
-        corrupted, so it is reported as an internal cycle error.
-        """
-        if dep.action.seq >= node.action.seq:
-            raise _cycle_error(dep, node)
-        dep.dependents.append(node)
-        node.waiting += 1
 
     @caller_locked("_lock")
     def pop(self, node: ActionNode) -> None:

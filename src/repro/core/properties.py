@@ -115,25 +115,3 @@ class RuntimeConfig:
     def alloc_cost(self, nbytes: int) -> float:
         """Host-blocking cost of instantiating ``nbytes`` on a card."""
         return self.alloc_latency_s + self.alloc_per_mb_s * nbytes / (1 << 20)
-
-    def zero_overhead(self) -> "RuntimeConfig":
-        """A copy with every runtime overhead zeroed (for ablations)."""
-        return RuntimeConfig(
-            enqueue_overhead_s=0.0,
-            transfer_overhead_s=0.0,
-            invoke_overhead_s=0.0,
-            sync_overhead_s=0.0,
-            alloc_latency_s=0.0,
-            alloc_per_mb_s=0.0,
-            use_buffer_pool=self.use_buffer_pool,
-            pool_chunk_bytes=self.pool_chunk_bytes,
-            jitter=0.0,
-            seed=self.seed,
-            metrics_history=self.metrics_history,
-            retry_limit=self.retry_limit,
-            retry_backoff_s=self.retry_backoff_s,
-            retry_backoff_factor=self.retry_backoff_factor,
-            retry_backoff_max_s=self.retry_backoff_max_s,
-            action_timeout_s=self.action_timeout_s,
-            wait_timeout_s=self.wait_timeout_s,
-        )

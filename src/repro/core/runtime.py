@@ -49,7 +49,7 @@ from repro.sim.trace import Tracer
 
 __all__ = ["DomainInfo", "HStreams", "KernelSpec"]
 
-#: When set (by ``repro.analysis.capture.capture_session``), every
+#: When set (by ``repro.core.capture.capture_session``), every
 #: HStreams constructed is forced into capture mode and appended here,
 #: so the program checker can analyze runtimes a program creates
 #: internally without the program opting in.

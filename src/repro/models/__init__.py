@@ -11,22 +11,18 @@ models' semantics* rather than being hard-coded:
 * :mod:`repro.models.openmp` — OpenMP 4.0/4.5 target offload: one logical
   device per card (no sub-device partitioning), synchronous transfers in
   4.0, ``nowait``/``depend`` in 4.5.
-* :mod:`repro.models.offload_streams` — the Intel compiler's offload
-  streams: device-only streams with ``signal``/``wait`` clauses.
 * :mod:`repro.models.opencl_like` — boilerplate-heavy contexts, queues,
   programs and kernels, with the under-optimized device BLAS the paper
   measured (35 GFl/s clBLAS DGEMM on KNC).
 """
 
 from repro.models.cuda_streams import CudaError, CudaRuntime
-from repro.models.offload_streams import OffloadStreamsRuntime
 from repro.models.openmp import OpenMPRuntime
 from repro.models.opencl_like import OpenCLRuntime
 
 __all__ = [
     "CudaError",
     "CudaRuntime",
-    "OffloadStreamsRuntime",
     "OpenMPRuntime",
     "OpenCLRuntime",
 ]

@@ -116,7 +116,6 @@ class CudaRuntime:
         if self._hs.ndomains < 2:
             raise CudaError("CUDA requires at least one device (card)")
         self._current_device = 0  # CUDA device 0 == platform domain 1
-        self._host_allocs: Dict[int, Buffer] = {}
         self._kernels: Dict[str, Tuple] = {}
         self._pending_readbacks: List[Tuple[HEvent, Any]] = []
 
@@ -227,14 +226,6 @@ class CudaRuntime:
             raise CudaError("double free of device pointer")
         ptr._freed = True
         self._hs.buffer_destroy(ptr._buffer)
-
-    def _host_buffer(self, array: np.ndarray) -> Buffer:
-        key = array.__array_interface__["data"][0]
-        buf = self._host_allocs.get(key)
-        if buf is None:
-            buf = self._hs.wrap(array)
-            self._host_allocs[key] = buf
-        return buf
 
     def memcpy_async(
         self,

@@ -5,7 +5,7 @@ import pytest
 
 from repro import HStreams, OperandMode, make_platform
 from repro.analysis import CaptureBackend, capture_session
-from repro.analysis.capture import ActionEvent, BufferEvent, StreamEvent, SyncEvent
+from repro.core.capture import ActionEvent, BufferEvent, StreamEvent, SyncEvent
 from repro.core.events import HEvent
 
 
@@ -172,12 +172,10 @@ class TestCaptureSession:
         assert hs.capture is None
 
     def test_analysis_capture_is_a_core_reexport(self):
-        # The primitives moved to repro.core.capture; the analysis path
-        # must keep resolving to the same objects.
-        import repro.analysis.capture as shim
+        # The analyzer's capture names are the core objects, not copies.
+        import repro.analysis as analysis
         import repro.core.capture as core
 
-        assert shim.CaptureBackend is core.CaptureBackend
-        assert shim.capture_session is core.capture_session
-        assert shim.ProgramCapture is core.ProgramCapture
-        assert shim.policy_dep_seqs is core.policy_dep_seqs
+        names = ("ActionEvent", "BufferEvent", "CaptureBackend", "ProgramCapture",
+                 "ProgramTrace", "StreamEvent", "SyncEvent", "capture_session")
+        assert all(getattr(analysis, n) is getattr(core, n) for n in names)

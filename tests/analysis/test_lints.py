@@ -2,9 +2,9 @@
 
 from repro import HStreams, OperandMode, XferDirection, make_platform
 from repro.analysis import IntervalSet, RuleEngine
-from repro.analysis.capture import ActionEvent
 from repro.core.actions import Action, ActionKind, Operand
 from repro.core.buffer import Buffer, ProxyAddressSpace
+from repro.core.capture import ActionEvent
 
 
 class TestIntervalSet:

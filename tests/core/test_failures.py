@@ -601,7 +601,7 @@ class TestFaultInjection:
         assert armed_seqs(42) != armed_seqs(43)
 
     def test_capture_mode_keeps_plans_inert(self):
-        from repro.analysis.capture import capture_session
+        from repro.core.capture import capture_session
         from repro.core.faults import inject_faults
 
         with capture_session() as runtimes:

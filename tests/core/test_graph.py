@@ -182,38 +182,32 @@ class TestGraph:
 
     def test_edge_wires_waiting_and_dependents(self):
         g = ActionGraph()
-        na = g.add(mk_action("a"), 0.0)
-        nb = g.add(mk_action("b"), 0.0)
-        g.add_edge(na, nb)
+        a = mk_action("a")
+        na = g.add(a, 0.0)
+        nb = g.add(mk_action("b"), 0.0, deps=[a])
         assert nb.waiting == 1
         assert na.dependents == [nb]
 
     def test_back_edge_is_a_cycle_error(self):
         g = ActionGraph()
-        na = g.add(mk_action("a"), 0.0)
-        nb = g.add(mk_action("b"), 0.0)
+        a, b = mk_action("a"), mk_action("b")
+        g.add(b, 0.0)
         with pytest.raises(HStreamsInternalError, match="cycle"):
-            g.add_edge(nb, na)  # newer -> older runs backwards
-
-    def test_self_edge_is_a_cycle_error(self):
-        g = ActionGraph()
-        na = g.add(mk_action(), 0.0)
-        with pytest.raises(HStreamsInternalError, match="cycle"):
-            g.add_edge(na, na)
+            g.add(a, 0.0, deps=[b])  # newer -> older runs backwards
 
     def test_stalled_empty_when_progress_possible(self):
         g = ActionGraph()
-        na = g.add(mk_action("a"), 0.0)
-        nb = g.add(mk_action("b"), 0.0)
-        g.add_edge(na, nb)
+        a = mk_action("a")
+        na = g.add(a, 0.0)
+        g.add(mk_action("b"), 0.0, deps=[a])
         na.transition(ActionState.READY)  # a can run -> b is not stalled
         assert g.stalled() == []
 
     def test_stalled_names_blocked_nodes(self):
         g = ActionGraph()
-        na = g.add(mk_action("a"), 0.0)
-        nb = g.add(mk_action("b"), 0.0)
-        g.add_edge(na, nb)
+        a = mk_action("a")
+        na = g.add(a, 0.0)
+        nb = g.add(mk_action("b"), 0.0, deps=[a])
         # a finishes and retires, but b's waiting count was never
         # decremented (simulating a lost completion): true deadlock.
         na.transition(ActionState.READY)

@@ -320,7 +320,7 @@ class TestStreamDestroyObservability:
         assert hs.metrics()["streams"][s.id]["destroyed"] is False
 
     def test_capture_records_stream_destroy(self):
-        from repro.analysis.capture import StreamEvent
+        from repro.core.capture import StreamEvent
 
         hs = HStreams(platform=make_platform("HSW", 1), capture_only=True,
                       trace=False)

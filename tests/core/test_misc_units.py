@@ -1,7 +1,6 @@
 """Unit tests for smaller pieces: config validation, error codes,
 events, kernel specs, stream invariants, sim-backend accounting."""
 
-import numpy as np
 import pytest
 
 from repro import HStreams, RuntimeConfig, make_platform
@@ -35,12 +34,6 @@ class TestRuntimeConfig:
     def test_alloc_cost_formula(self):
         cfg = RuntimeConfig(alloc_latency_s=1e-4, alloc_per_mb_s=1e-5)
         assert cfg.alloc_cost(2 << 20) == pytest.approx(1e-4 + 2e-5)
-
-    def test_zero_overhead_copy(self):
-        z = RuntimeConfig(jitter=0.5).zero_overhead()
-        assert z.enqueue_overhead_s == 0.0
-        assert z.transfer_overhead_s == 0.0
-        assert z.jitter == 0.0
 
 
 class TestErrorCodes:

@@ -1,77 +1,11 @@
-"""Tests for the Offload-Streams and OpenCL comparator models."""
+"""Tests for the OpenCL comparator model."""
 
 import numpy as np
 import pytest
 
 from repro import make_platform
-from repro.models.offload_streams import OffloadStreamsRuntime
 from repro.models.opencl_like import CLError, OpenCLRuntime
-from repro.sim.kernels import KernelCost, dgemm
-
-
-def big_cost(seconds: float) -> KernelCost:
-    return KernelCost("default", flops=seconds * 0.45 * 1298.1e9, size=1e9)
-
-
-class TestOffloadStreams:
-    @pytest.fixture()
-    def offl(self):
-        return OffloadStreamsRuntime(platform=make_platform("HSW", 1), backend="sim")
-
-    def test_streams_target_devices_only(self, offl):
-        with pytest.raises(ValueError):
-            offl.stream_create(device=5)
-
-    def test_signal_wait_orders_across_streams(self, offl):
-        offl.register_kernel("k", cost_fn=lambda *a: big_cost(0.2))
-        s1 = offl.stream_create(0, ncores=30)
-        s2 = offl.stream_create(0, ncores=30)
-        a = np.zeros(1024)
-        b = np.zeros(1024)
-        offl.offload(s1, "k", args=(a,), signal="tagA")
-        offl.offload(s2, "k", args=(b,), wait=["tagA"])
-        offl.synchronize()
-        tr = offl.hstreams.tracer
-        computes = sorted(tr.filter(kind="compute"), key=lambda e: e.start)
-        assert computes[1].start >= computes[0].end - 1e-9
-
-    def test_wait_on_unsignaled_tag_fails(self, offl):
-        offl.register_kernel("k", cost_fn=lambda *a: big_cost(0.1))
-        s = offl.stream_create(0)
-        with pytest.raises(ValueError):
-            offl.offload(s, "k", wait=["never"])
-
-    def test_offload_wait_blocks_host(self, offl):
-        offl.register_kernel("k", cost_fn=lambda *a: big_cost(0.3))
-        s = offl.stream_create(0)
-        offl.offload(s, "k", args=(np.zeros(64),), signal="t")
-        offl.offload_wait(["t"])
-        assert offl.elapsed() >= 0.3
-
-    def test_in_out_clauses_roundtrip_on_thread_backend(self):
-        offl = OffloadStreamsRuntime(
-            platform=make_platform("HSW", 1), backend="thread", trace=False
-        )
-        offl.register_kernel("dbl", fn=lambda x: np.multiply(x, 2.0, out=x))
-        s = offl.stream_create(0, ncores=8)
-        data = np.arange(8.0)
-        offl.offload(s, "dbl", args=(data,), in_arrays=[data], out_arrays=[data])
-        offl.synchronize()
-        np.testing.assert_array_equal(data, np.arange(8.0) * 2)
-        offl.fini()
-
-    def test_stream_completed_polling(self, offl):
-        offl.register_kernel("k", cost_fn=lambda *a: big_cost(0.5))
-        s = offl.stream_create(0)
-        offl.offload(s, "k", args=(np.zeros(64),))
-        assert not offl.stream_completed(s)
-        offl.synchronize()
-        assert offl.stream_completed(s)
-
-    def test_offload_transfer_signal(self, offl):
-        s = offl.stream_create(0)
-        offl.offload_transfer(s, np.zeros(1 << 20), to_device=True, signal="x")
-        offl.offload_wait(["x"])
+from repro.sim.kernels import dgemm
 
 
 class TestOpenCL:
