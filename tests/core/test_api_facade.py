@@ -27,8 +27,26 @@ class TestLifecycle:
         with pytest.raises(HStreamsNotInitialized):
             hstr.runtime()
 
+    def test_double_init_rejected(self):
+        hstr.hStreams_Init(backend="thread")
+        with pytest.raises(HStreamsBadArgument):
+            hstr.hStreams_Init(backend="thread")
+
+    def test_app_init_creates_streams_per_domain(self):
+        ids = app_init()
+        assert len(ids) == 4  # 2 per card, 2 cards
+        assert ids == sorted(ids)
+
 
 class TestBuffersByProxyAddress:
+    def test_create_and_dealloc(self):
+        app_init()
+        addr = hstr.hStreams_app_create_buf(nbytes=1024)
+        assert addr > 0
+        hstr.hStreams_DeAlloc(addr)
+        with pytest.raises(Exception):
+            hstr.hStreams_DeAlloc(addr)
+
     def test_interior_address_resolves_to_same_buffer(self):
         app_init()
         addr = hstr.hStreams_app_create_buf(nbytes=1024)
@@ -62,3 +80,24 @@ class TestRoundTrip:
         hstr.hStreams_app_xfer_memory(s, addr, addr, data.nbytes, hstr.HSTR_SINK_TO_SRC)
         hstr.hStreams_app_thread_sync()
         np.testing.assert_array_equal(data, 3.0 * np.arange(16.0))
+
+    def test_invoke_with_scalars_and_heap_args(self):
+        ids = app_init()
+        hstr.hStreams_RegisterSinkFunction(
+            "fill", fn=lambda v, buf: buf.view(np.float64).fill(v)
+        )
+        data = np.zeros(8)
+        addr = hstr.hStreams_app_create_buf(array=data)
+        s = ids[0]
+        hstr.hStreams_app_invoke(s, "fill", scalar_args=(7.0,), heap_args=[addr])
+        hstr.hStreams_app_xfer_memory(s, addr, addr, 64, hstr.HSTR_SINK_TO_SRC)
+        hstr.hStreams_app_thread_sync()
+        np.testing.assert_array_equal(data, 7.0 * np.ones(8))
+
+    def test_heap_nbytes_mismatch(self):
+        ids = app_init()
+        hstr.hStreams_RegisterSinkFunction("noop", fn=lambda *a: None)
+        addr = hstr.hStreams_app_create_buf(nbytes=64)
+        with pytest.raises(HStreamsBadArgument):
+            hstr.hStreams_app_invoke(ids[0], "noop", heap_args=[addr],
+                                     heap_nbytes=[1, 2])
