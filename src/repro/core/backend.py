@@ -14,18 +14,24 @@ The executor contract for :meth:`Backend.execute`:
 1. the scheduler calls ``execute(action)`` exactly once, only after
    every dependence of ``action`` has completed;
 2. the backend runs the action (possibly asynchronously), calling
-   ``runtime.scheduler.on_start(action, when=...)`` when execution
-   begins and ``runtime.scheduler.on_complete(action, when=..., error=...)``
-   when it finishes — including on failure, so dependents are released
-   and the error surfaces at the next synchronization;
+   :meth:`Backend._start` when execution begins and
+   :meth:`Backend._finish` when it ends — including on failure, so
+   dependents are released and the error surfaces at the next
+   synchronization;
 3. the scheduler triggers the action's completion event through
    :meth:`Backend.signal_completion` during ``on_complete``.
+
+``_start`` and ``_finish`` are the one action lifecycle every backend
+shares: start reported, fault check, run, post-hoc budget, completion
+reported. A backend supplies only the run and the clock.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any, List, Optional
+
+from repro.core.errors import HStreamsTimedOut
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.actions import Action
@@ -88,10 +94,41 @@ class Backend(ABC):
     def execute(self, action: "Action") -> None:
         """Run an action whose dependences the scheduler satisfied.
 
-        Must report ``on_start`` / ``on_complete`` back to
-        ``runtime.scheduler`` (see the executor contract in the module
-        docstring).
+        Must report through :meth:`_start` / :meth:`_finish` (see the
+        executor contract in the module docstring).
         """
+
+    def _start(self, action: "Action", when: float) -> None:
+        """Report that ``action`` started at ``when``, then consult the
+        fault injector, which raises in place of running an armed
+        action (the caller hands the error to :meth:`_finish`)."""
+        self.runtime.scheduler.on_start(action, when=when)
+        injector = self.runtime.fault_injector
+        if injector is not None:
+            injector.check(action)
+
+    def _finish(
+        self,
+        action: "Action",
+        end: float,
+        error: Optional[BaseException],
+        ran_s: float,
+    ) -> None:
+        """Apply the action budget and report the completion at ``end``.
+
+        ``ran_s`` is how long the action itself ran, from its
+        :meth:`_start` — what ``action_timeout_s`` is judged on; queueing
+        before the start never counts.
+        """
+        budget = self.runtime.config.action_timeout_s
+        if error is None and budget is not None and ran_s > budget:
+            # Kernels cannot be preempted (and a modelled duration is
+            # known only once it ran): the budget is judged post-hoc.
+            error = HStreamsTimedOut(
+                f"{action.display!r} ran {ran_s:.6f} s, over the "
+                f"action_timeout_s budget of {budget} s"
+            )
+        self.runtime.scheduler.on_complete(action, when=end, error=error)
 
     def execute_after(self, action: "Action", delay: float) -> None:
         """Re-run ``action`` after ``delay`` seconds (retry dispatch).

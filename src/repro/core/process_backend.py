@@ -15,16 +15,17 @@ every card-domain buffer instance with a POSIX shared-memory segment
   interpreter and its own GIL — CPU-bound kernels on different domains
   genuinely overlap;
 * nothing on the host waits for a shipped compute. The domain worker
-  thread that dispatched it runs the thread backend's prologue
-  (``on_start``, fault injection), writes the command and returns to
-  its slot, so a stream's consecutive ready computes pipeline into the
-  (serial) worker process. One completion pump thread blocks on every
-  worker's pipe and process sentinel and runs the thread backend's
-  epilogue (post-hoc action timeout, tracing, ``on_complete``) for each
-  completion it reads — so lifecycle ordering, fault injection and
-  retry backoff behave cell-for-cell like the thread backend. The pump
-  is not a domain worker: what its completions ready is handed to the
-  domain's workers, never claimed by the pump.
+  thread that dispatched it starts it as every backend does
+  (``Backend._start``: start reported, fault check), writes the command
+  from :meth:`ProcessBackend._execute` and returns to its slot, so a
+  stream's consecutive ready computes pipeline into the (serial) worker
+  process. One completion pump thread blocks on every worker's pipe and
+  process sentinel and finishes each completion it reads (tracing, then
+  ``Backend._finish``: post-hoc action timeout on the worker-measured
+  kernel time, ``on_complete``) — so lifecycle ordering, fault
+  injection and retry backoff behave cell-for-cell like the thread
+  backend. The pump is not a domain worker: what its completions ready
+  is handed to the domain's workers, never claimed by the pump.
 
 Everything that is not a card-domain compute (transfers, host-domain
 computes, syncs) — and any compute whose kernel or extra arguments
@@ -470,34 +471,23 @@ class ProcessBackend(ThreadBackend):
                 self._live_worker(stream.domain)
         super().execute(action)
 
-    def _run(self, action: Action, delay: float = 0.0) -> None:
+    def _execute(self, action: Action) -> Optional[bool]:
+        """Ship a card compute to its domain's worker process (True: the
+        pump reports its completion); run anything else, or a compute
+        that cannot ship, host-side as the thread backend does."""
         stream = action.stream
         assert stream is not None
-        if action.kind is not ActionKind.COMPUTE or stream.domain == 0:
-            super()._run(action, delay)
-            return
-        self._backoff(delay)
-        start, error = self._prologue(action)
-        if error is None:
-            try:
-                if self._ship(action, start):
-                    return  # the pump runs the epilogue
-                self._execute(action)
-            except BaseException as exc:  # noqa: BLE001 - surfaced at next sync
-                error = exc
-        end = self.now()
-        self._epilogue(action, start, end, error, end - start)
-
-    def _execute(self, action: Action) -> None:
-        if action.kind is ActionKind.XFER:
-            assert action.stream is not None
+        if action.kind is ActionKind.COMPUTE and stream.domain != 0:
+            if self._ship(action):
+                return True
+        elif action.kind is ActionKind.XFER:
             op = action.operands[0]
             with self._cv:
-                if action.stream.domain == 0 or action.elided:
+                if stream.domain == 0 or action.elided:
                     self._m["bytes_zero_copy"] += op.nbytes
                 else:
                     self._m["bytes_copied"] += op.nbytes
-        super()._execute(action)
+        return super()._execute(action)
 
     @caller_locked("_cv")
     def _command(self, action: Action, worker: _Worker) -> Optional[bytes]:
@@ -541,14 +531,16 @@ class ProcessBackend(ThreadBackend):
             seg.attached.add(domain)
         return _HEADER.pack(action.seq) + body
 
-    def _ship(self, action: Action, start: float) -> bool:
+    def _ship(self, action: Action) -> bool:
         """Write a card compute to its domain's worker; False to fall back.
 
-        Runs on a domain worker thread, which returns to its slot as
-        soon as the command is written. A fallback first waits for the
-        stream's shipped computes to drain, so mixing remote and
-        host-side kernels in one stream stays serial.
+        Runs on a domain worker thread right after the action started,
+        and that thread returns to its slot as soon as the command is
+        written. A fallback first waits for the stream's shipped
+        computes to drain, so mixing remote and host-side kernels in one
+        stream stays serial.
         """
+        start = self.now()
         stream = action.stream
         assert stream is not None
         domain = stream.domain

@@ -451,12 +451,14 @@ class ThreadBackend(Backend):
 
     def _run(self, action: Action, delay: float = 0.0) -> None:
         self._backoff(delay)
-        start, error = self._prologue(action)
-        if error is None:
-            try:
-                self._execute(action)
-            except BaseException as exc:  # noqa: BLE001 - surfaced at next sync
-                error = exc
+        start = self.now()
+        error: Optional[BaseException] = None
+        try:
+            self._start(action, start)
+            if self._execute(action):
+                return  # another thread reports the completion
+        except BaseException as exc:  # noqa: BLE001 - surfaced at next sync
+            error = exc
         end = self.now()
         self._epilogue(action, start, end, error, end - start)
 
@@ -474,24 +476,6 @@ class ThreadBackend(Backend):
             time.sleep(delay)
             delay = deadline - time.monotonic()
 
-    def _prologue(
-        self, action: Action
-    ) -> Tuple[float, Optional[BaseException]]:
-        """Report the start and consult the fault injector.
-
-        Returns the start time and the injected fault, if one fired —
-        the action then goes straight to :meth:`_epilogue`.
-        """
-        start = self.now()
-        self.runtime.scheduler.on_start(action, when=start)
-        injector = self.runtime.fault_injector
-        if injector is not None:
-            try:
-                injector.check(action)
-            except BaseException as exc:  # noqa: BLE001 - surfaced at next sync
-                return start, exc
-        return start, None
-
     def _epilogue(
         self,
         action: Action,
@@ -500,20 +484,12 @@ class ThreadBackend(Backend):
         error: Optional[BaseException],
         ran_s: float,
     ) -> None:
-        """Apply the action budget, trace, and report the completion.
+        """Trace the action, open the worker's claim window, and finish.
 
-        ``ran_s`` is how long the action itself executed — what
-        ``action_timeout_s`` is judged on. It equals ``end - start``
+        ``ran_s`` is how long the action itself executed, which
+        :meth:`_finish` judges the budget on. It equals ``end - start``
         except where an executor queues started actions.
         """
-        budget = self.runtime.config.action_timeout_s
-        if error is None and budget is not None and ran_s > budget:
-            # Python kernels cannot be preempted: enforce the per-action
-            # budget post-hoc by failing the action once it returns.
-            error = HStreamsTimedOut(
-                f"{action.display!r} ran {ran_s:.6f} s, over the "
-                f"action_timeout_s budget of {budget} s"
-            )
         stream = action.stream
         assert stream is not None
         tracer = self.runtime.tracer
@@ -527,7 +503,7 @@ class ThreadBackend(Backend):
                 lane, start, end, action.display, kind=_TRACE_KIND[action.kind]
             )
         self._domain_workers[stream.domain].open_claim()
-        self.runtime.scheduler.on_complete(action, when=end, error=error)
+        self._finish(action, end, error, ran_s)
 
     def _resolve(self, action: Action, item: Any) -> Any:
         assert action.stream is not None
@@ -544,7 +520,13 @@ class ThreadBackend(Backend):
             return item.instance_array(domain)
         return item
 
-    def _execute(self, action: Action) -> None:
+    def _execute(self, action: Action) -> Optional[bool]:
+        """Run a started action on this thread.
+
+        A true return means the action is still running elsewhere and
+        its completion will be reported from there (the process
+        backend's shipped computes); here it always ran to the end.
+        """
         if action.kind is ActionKind.COMPUTE:
             spec = self.runtime.kernel(action.kernel)
             if spec.fn is None:
