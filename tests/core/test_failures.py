@@ -618,6 +618,59 @@ class TestFaultInjection:
         assert not hs.failed
 
 
+class TestLifecycleOrder:
+    """Every backend starts an action (start reported, fault check),
+    then runs it, and judges its budget from that start: an action
+    queued behind another in its stream has not started yet."""
+
+    @pytest.mark.parametrize("backend", ["thread", "sim"])
+    def test_injected_fault_waits_for_the_stream(self, backend):
+        hs = runtime(backend)
+        hs.register_kernel("long", fn=lambda x: time.sleep(0.2),
+                           cost_fn=lambda *a: dgemm(2048, 2048, 2048))
+        register(hs, "armed", lambda x: None)
+        arm_failure(hs, "armed")
+        s = hs.stream_create(domain=1, ncores=4)
+        first = hs.enqueue_compute(
+            s, "long", args=(hs.buffer_create(nbytes=64).all_inout(),))
+        armed = hs.enqueue_compute(  # disjoint operands: ready at once
+            s, "armed", args=(hs.buffer_create(nbytes=64).all_inout(),))
+        with pytest.raises(InjectedFault):
+            hs.thread_synchronize()
+        assert armed.record.state == "failed"
+        assert armed.record.t_start >= first.record.t_end
+        hs.clear_failure()
+        hs.fini()
+
+    @pytest.mark.parametrize("backend", ["thread", "sim"])
+    def test_budget_excludes_queueing_in_the_stream(self, backend):
+        def run(budget):
+            hs = runtime(backend, config=RuntimeConfig(action_timeout_s=budget))
+            hs.register_kernel("step", fn=lambda x: time.sleep(0.05),
+                               cost_fn=lambda *a: dgemm(512, 512, 512))
+            s = hs.stream_create(domain=1, ncores=4)
+            evs = [
+                hs.enqueue_compute(
+                    s, "step", args=(hs.buffer_create(nbytes=64).all_inout(),))
+                for _ in range(5)
+            ]
+            hs.thread_synchronize()
+            hs.fini()
+            return [ev.record for ev in evs]
+
+        if backend == "sim":
+            alone = run(None)[0]
+            budget = 3 * (alone.t_end - alone.t_start)
+        else:
+            budget = 0.15
+        records = run(budget)
+        assert {r.state for r in records} == {"complete"}
+        last = records[-1]
+        # Queueing plus its own run exceeded the budget; the run alone
+        # did not.
+        assert last.t_end - last.t_ready > budget
+
+
 class TestFailFast:
     @pytest.mark.parametrize("backend", ["thread", "sim"])
     def test_enqueue_after_failure_raises_original_error(self, backend):
