@@ -410,6 +410,27 @@ class TestInvariantViolation:
         finally:
             hs.fini()
 
+    def test_check_invariants_reports_lifecycle_times_out_of_order(self):
+        hs = HStreams(platform=make_platform("HSW", 1), backend="sim",
+                      trace=False)
+        try:
+            hs.register_kernel("k", cost_fn=lambda *a: dgemm(64, 64, 64))
+            s = hs.stream_create(domain=1, ncores=4)
+            buf = hs.buffer_create(nbytes=64)
+            ev = hs.enqueue_compute(s, "k", args=(buf.all_inout(),))
+            with hs.scheduler._lock:
+                node = hs.scheduler.graph.get(ev.action)
+                ready = node.t_ready
+                node.t_ready = node.t_enqueue - 1e-6
+            problems = hs.scheduler.check_invariants()
+            assert len(problems) == 1 and "out of order" in problems[0]
+            with hs.scheduler._lock:
+                node.t_ready = ready
+            assert hs.scheduler.check_invariants() == []
+            hs.thread_synchronize()
+        finally:
+            hs.fini()
+
 
 class TestSanitizedRuntimeEndToEnd:
     @pytest.mark.parametrize("backend", ["thread", "sim"])
