@@ -25,7 +25,6 @@ from repro.sim.engine import (
     AnyOf,
     Engine,
     Event,
-    Interrupt,
     Process,
     Resource,
     SimError,
@@ -48,7 +47,6 @@ __all__ = [
     "AnyOf",
     "Engine",
     "Event",
-    "Interrupt",
     "Process",
     "Resource",
     "SimError",

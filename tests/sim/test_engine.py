@@ -7,7 +7,6 @@ from repro.sim.engine import (
     AnyOf,
     Engine,
     Event,
-    Interrupt,
     Resource,
     SimError,
 )
@@ -82,6 +81,19 @@ class TestTimeoutAndClock:
         eng = Engine()
         with pytest.raises(SimError):
             eng.timeout(-1.0)
+
+    def test_at_fires_exactly_at_an_absolute_time(self):
+        eng = Engine()
+        now, when = 0.2538755144855232, 0.8079437334476703
+        eng.run(until=now)
+        # The relative form rounds one ulp early here.
+        assert now + (when - now) < when
+        fired = []
+        eng.at(when).add_callback(lambda e: fired.append(eng.now))
+        eng.run()
+        assert fired == [when]
+        with pytest.raises(SimError):
+            eng.at(when / 2)
 
     def test_run_until_stops_clock_at_limit(self):
         eng = Engine()
@@ -187,37 +199,6 @@ class TestProcesses:
             eng.run()
             if not p.ok:
                 raise p.value
-
-    def test_interrupt_is_catchable(self):
-        eng = Engine()
-        log = []
-
-        def sleeper():
-            try:
-                yield eng.timeout(100.0)
-            except Interrupt as i:
-                log.append(("interrupted", i.cause, eng.now))
-
-        p = eng.process(sleeper())
-
-        def interrupter():
-            yield eng.timeout(1.0)
-            p.interrupt(cause="hurry")
-
-        eng.process(interrupter())
-        eng.run()
-        assert log == [("interrupted", "hurry", pytest.approx(1.0))]
-
-    def test_interrupt_finished_process_raises(self):
-        eng = Engine()
-
-        def quick():
-            yield eng.timeout(0.1)
-
-        p = eng.process(quick())
-        eng.run()
-        with pytest.raises(SimError):
-            p.interrupt()
 
     def test_deadlock_detection(self):
         eng = Engine()
@@ -338,20 +319,6 @@ class TestResource:
         eng = Engine()
         with pytest.raises(SimError):
             Resource(eng, capacity=0)
-
-    def test_use_helper(self):
-        eng = Engine()
-        res = Resource(eng, capacity=1)
-        done = []
-
-        def user(tag):
-            yield from res.use(1.0)
-            done.append((tag, eng.now))
-
-        eng.process(user("x"))
-        eng.process(user("y"))
-        eng.run()
-        assert done == [("x", pytest.approx(1.0)), ("y", pytest.approx(2.0))]
 
     def test_queue_and_in_use_counters(self):
         eng = Engine()

@@ -7,7 +7,7 @@ from repro.coi.buffer_pool import BufferPool
 from repro.coi.coi import COIContext
 from repro.coi.scif import ScifFabric
 from repro.sim import engine as sim_engine
-from repro.sim.engine import AnyOf, Engine, Interrupt, Resource, SimError
+from repro.sim.engine import AnyOf, Engine, Resource, SimError
 from repro.sim.interconnect import Fabric, LinkPair
 from repro.sim.kernels import KernelCost
 
@@ -136,38 +136,6 @@ class TestProcessReturnPaths:
 
 
 class TestProcessStart:
-    def test_interrupt_before_first_step(self):
-        """The start entry was queued first, so the generator takes its
-        first step and meets the interrupt at its first yield."""
-        eng = Engine()
-        log = []
-
-        def sleeper():
-            log.append(("started", eng.now))
-            try:
-                yield eng.timeout(5.0)
-            except Interrupt as i:
-                log.append(("interrupted", i.cause, eng.now))
-
-        p = eng.process(sleeper())
-        p.interrupt("early")
-        eng.run()
-        assert log == [("started", 0.0), ("interrupted", "early", 0.0)]
-        assert p.triggered and p.ok
-
-    def test_unhandled_interrupt_before_first_step_fails_the_process(self):
-        eng = Engine()
-
-        def sleeper():
-            yield eng.timeout(5.0)
-
-        p = eng.process(sleeper())
-        p.interrupt("early")
-        eng.run()
-        assert p.triggered and not p.ok
-        assert isinstance(p.value, Interrupt) and p.value.cause == "early"
-        assert eng.now == 5.0  # the abandoned timeout still fires, waking no one
-
     def test_first_yield_of_a_fired_event_resumes_in_the_same_step(self):
         eng = Engine()
         ready = eng.event()
