@@ -17,9 +17,10 @@ the thread and sim backends:
   single source thread in program order on every backend, so the set of
   armed actions — including the seeded random draws — is a pure
   function of the program and the plan, never of backend timing;
-* backends consult :meth:`FaultInjector.check` right before executing an
-  action; an armed action raises :class:`InjectedFault` instead of
-  running, once per remaining armed attempt.
+* every backend consults :meth:`FaultInjector.check` right after it
+  reports the action's start (``Backend._start``) and before running
+  it; an armed action raises :class:`InjectedFault` instead of running,
+  once per remaining armed attempt.
 
 ``times=2`` with ``transient=True`` under ``failure_policy="retry"`` is
 the canonical plan: the action fails twice, backs off, and succeeds on
@@ -193,7 +194,7 @@ class FaultInjector(SchedulerObserver):
             self._armed[action.seq] = [spec.times, spec]
             break  # first matching spec wins
 
-    # -- firing (called by backends right before execution) ----------------
+    # -- firing (called from Backend._start, right after the start) --------
 
     def check(self, action: "Action") -> None:
         """Raise :class:`InjectedFault` if ``action`` is armed.
@@ -201,8 +202,8 @@ class FaultInjector(SchedulerObserver):
         Each call consumes one armed attempt; once ``times`` attempts
         have failed, the action executes normally (the
         transient-fault-recovers-after-retry scenario). Called from
-        backend worker threads, so the armed table is consumed under
-        the lock.
+        ``Backend._start`` on backend worker threads, so the armed table
+        is consumed under the lock.
         """
         with self._lock:
             entry = self._armed.get(action.seq)

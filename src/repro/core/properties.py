@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 __all__ = ["MemType", "RuntimeConfig"]
 
@@ -51,11 +51,12 @@ class RuntimeConfig:
       retry_backoff_max_s)`` before each attempt (wall seconds on the
       thread backend, virtual seconds on the sim backend).
     * ``action_timeout_s`` — per-action execution budget, enforced in
-      both backends: an action exceeding it fails with
-      :class:`~repro.core.errors.HStreamsTimedOut` (the sim backend caps
-      the modeled duration at the budget; the thread backend cannot
-      preempt a Python kernel, so it marks the action failed when it
-      finally returns). ``None`` disables the budget.
+      every backend: an action that ran longer, counted from its start
+      (queueing behind its stream's earlier actions does not count),
+      fails with :class:`~repro.core.errors.HStreamsTimedOut`. Kernels
+      cannot be preempted and a modelled duration is known only once it
+      ran, so every backend judges the budget post-hoc, when the action
+      finishes. ``None`` disables the budget.
     * ``wait_timeout_s`` — default timeout applied to every blocking
       host wait (``event_wait``, ``stream_synchronize``,
       ``thread_synchronize``) that does not pass an explicit timeout;
@@ -81,7 +82,6 @@ class RuntimeConfig:
     retry_backoff_max_s: float = 0.25
     action_timeout_s: Optional[float] = None
     wait_timeout_s: Optional[float] = None
-    extra: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for name in (
