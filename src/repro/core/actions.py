@@ -178,7 +178,9 @@ class Action:
     label: str = ""
     seq: int = field(default_factory=lambda: next(_action_ids))
     completion: Optional["HEvent"] = None
-    deps: List["HEvent"] = field(default_factory=list)
+    #: Explicit event waits (``event_stream_wait``); empty for the
+    #: common enqueue, which then allocates nothing for them.
+    deps: Sequence["HEvent"] = ()
     barrier: bool = False  # sync action with no operands orders everything
     #: Cached operand footprint: one ``(buffer uid, start, end, writes)``
     #: interval per non-empty operand, computed once at construction.
@@ -222,7 +224,7 @@ class Action:
         new.label = self.label
         new.seq = next(_action_ids)
         new.completion = None
-        new.deps = []
+        new.deps = ()
         new.barrier = self.barrier
         new.footprint = self.footprint
         return new

@@ -221,11 +221,11 @@ class _Plan:
             src_domain=src_domain,
             label=label,
         )
-        hs = self.hs
-        hs._ensure_instance(buf, 0)
-        hs._ensure_instance(buf, stream.domain)
+        instantiate = self.hs.memory.instantiate
+        instantiate(buf, 0)
+        instantiate(buf, stream.domain)
         if src_domain is not None and src_domain != 0:
-            hs._ensure_instance(buf, src_domain)
+            instantiate(buf, src_domain)
         return self._admit(action, deps)
 
     def compute(
@@ -247,7 +247,7 @@ class _Plan:
             label=label,
         )
         for op in ops:
-            self.hs._ensure_instance(op.buffer, stream.domain)
+            self.hs.memory.instantiate(op.buffer, stream.domain)
         return self._admit(action, deps)
 
 

@@ -30,10 +30,14 @@ cut-off, applied to data. The enqueue cost is O(last writers + readers
 since), not O(conflicting predecessors), and the scheduler wires,
 resolves and later decrements only those edges.
 
-The scheduler retires entries incrementally as actions complete (O(1)
-per completion); used standalone (unit tests), the window lazily drops
-completed entries as scans encounter them. :class:`HistoryWindow` is the
-never-retiring variant the capture recorders run the same scan over.
+The scheduler retires an entry in the same lock hold that fires its
+completion (O(1) per completion), so a scheduler-owned window never
+holds a completed entry: :meth:`StreamWindow.retire_eagerly` switches
+its scans to a never-completed probe, and they never poll a completion
+event. Lazy retirement is for standalone windows only (unit tests, the
+perf harness): their scans drop completed entries as they meet them.
+:class:`HistoryWindow` is the never-retiring variant the capture
+recorders run the same scan over.
 
 The window also counts its work — :attr:`StreamWindow.scan_candidates`
 (predecessors examined) and :attr:`StreamWindow.scan_comparisons`
@@ -60,6 +64,18 @@ __all__ = [
 #: enqueue order. An action sits in a buffer's lane once, however many
 #: of its footprint entries on that buffer share the lane's mode.
 _Lane = Dict[int, Dict[int, Action]]
+
+
+def _completion_fired(action: Action) -> bool:
+    """The lazy probe of a standalone window: has the entry completed?"""
+    completion = action.completion
+    return completion is not None and completion.is_complete()
+
+
+def _never_completed(action: Action) -> bool:
+    """The probe of a window whose entries are retired as they complete
+    (scheduler-owned) or never (history): no live entry has completed."""
+    return False
 
 
 class DependencePolicy:
@@ -113,12 +129,13 @@ class StreamWindow:
     bucket). ``_live`` keeps the full in-flight set in enqueue order for
     the strict policy, barrier enqueues, and ``pending_completions``.
 
-    The scheduler calls :meth:`retire` as each action completes, so the
-    live set shrinks incrementally; standalone, completed entries are
-    dropped lazily as scans encounter them. :attr:`in_flight` is a
-    maintained O(1) counter either way — it observes a completion at
-    retirement or at the next scan that touches the entry, never by
-    polling every completion event.
+    The scheduler calls :meth:`retire` in the lock hold that fires each
+    completion and marks its windows :meth:`retire_eagerly`, so their
+    scans never probe completion; standalone, completed entries are
+    dropped lazily as scans encounter them. :attr:`in_flight` is the
+    live set's size either way — it observes a completion at retirement
+    or at the next scan that touches the entry, never by polling every
+    completion event.
 
     Locking: under a scheduler, every mutation happens inside the
     scheduler lock (``_lock`` is wired to it when rtsan is enabled —
@@ -135,8 +152,8 @@ class StreamWindow:
         "_writers",
         "_readers",
         "_barriers",
-        "_in_flight",
-        "enqueued_count",
+        "_completed",
+        "eager",
         "retired_count",
         "scan_candidates",
         "scan_comparisons",
@@ -162,8 +179,12 @@ class StreamWindow:
         self._readers: _Lane = {}
         #: Barrier lane: {seq: barrier action}, enqueue order.
         self._barriers: Dict[int, Action] = {}
-        self._in_flight = 0
-        self.enqueued_count = 0
+        #: Completion probe the scans and ``newest_live`` apply to an
+        #: entry: lazy (poll its event) until :meth:`retire_eagerly`.
+        self._completed = _completion_fired
+        #: Whether every entry is retired in the lock hold that fires its
+        #: completion (see :meth:`retire_eagerly`).
+        self.eager = False
         self.retired_count = 0
         #: Predecessors examined by dependence scans (deterministic).
         self.scan_candidates = 0
@@ -172,13 +193,23 @@ class StreamWindow:
 
     # -- maintenance ---------------------------------------------------------
 
+    def retire_eagerly(self) -> None:
+        """Declare that the owner retires every entry in the same lock
+        hold that fires its completion.
+
+        The scheduler's contract (``Scheduler._finish_node`` signals,
+        then retires, under its lock): no scan can then meet a completed
+        entry, so the scans stop probing completion events. The
+        scheduler's invariant check reports an entry that breaks it.
+        """
+        self._completed = _never_completed
+        self.eager = True
+
     @caller_locked("_lock")
     def add(self, action: Action) -> None:
         """Record a newly enqueued action and index its footprint."""
         seq = action.seq
         self._live[seq] = action
-        self.enqueued_count += 1
-        self._in_flight += 1
         if action.barrier:
             self._barriers[seq] = action
         else:
@@ -195,7 +226,6 @@ class StreamWindow:
         if self._live.pop(action.seq, None) is None:
             return
         self.retired_count += 1
-        self._in_flight -= 1
         self._unindex(action)
 
     @caller_locked("_lock")
@@ -211,11 +241,6 @@ class StreamWindow:
                 bucket.pop(seq, None)
                 if not bucket:
                     del lane[uid]
-
-    @staticmethod
-    def _completed(action: Action) -> bool:
-        completion = action.completion
-        return completion is not None and completion.is_complete()
 
     @caller_locked("_lock")
     def _retire_all(self, dead: Optional[List[Action]]) -> None:
@@ -245,6 +270,8 @@ class StreamWindow:
     @caller_locked("_lock")
     def _newest_live_barrier(self) -> Optional[Action]:
         """The newest incomplete barrier, lazily dropping completed ones."""
+        if not self._barriers:
+            return None
         dead: Optional[List[Action]] = None
         found: Optional[Action] = None
         for barrier in reversed(self._barriers.values()):
@@ -379,14 +406,21 @@ class StreamWindow:
         return self.policy.deps_for(self, action)
 
     @property
+    @caller_locked("_lock")
+    def enqueued_count(self) -> int:
+        """Actions ever added: the retired ones plus the live ones."""
+        return self.retired_count + len(self._live)
+
+    @property
+    @caller_locked("_lock")
     def in_flight(self) -> int:
-        """Number of tracked, unretired actions (O(1) counter).
+        """Number of tracked, unretired actions (O(1)).
 
         Under a scheduler this is exact — every completion retires its
         entry. Standalone, a completed-but-unretired entry counts until
         the next scan (or an explicit :meth:`retire`) observes it.
         """
-        return self._in_flight
+        return len(self._live)
 
     @caller_locked("_lock")
     def pending_completions(self) -> List:
@@ -416,20 +450,20 @@ class StreamWindow:
         writer lane of exactly the buffers it writes and the reader lane
         of exactly the buffers it reads, every lane entry is live, and
         the barrier lane is exactly the live barriers. Under a scheduler
-        (eager retirement) the equalities are strict. Returns
-        human-readable problems; empty means consistent.
+        (eager retirement) the equalities are strict, and no live entry
+        may have completed: the scans of an eager window never probe
+        completion, so such an entry would order new work after an
+        action that already finished. Returns human-readable problems;
+        empty means consistent.
         """
         problems: List[str] = []
-        if self._in_flight != len(self._live):
-            problems.append(
-                f"{label}: in_flight counter {self._in_flight} != "
-                f"{len(self._live)} live entries"
-            )
-        if self.enqueued_count - self.retired_count != self._in_flight:
-            problems.append(
-                f"{label}: enqueued {self.enqueued_count} - retired "
-                f"{self.retired_count} != in_flight {self._in_flight}"
-            )
+        if self.eager:
+            for action in self._live.values():
+                if _completion_fired(action):
+                    problems.append(
+                        f"{label}: {action.display!r} completed but is "
+                        "still live in an eagerly retired window"
+                    )
         live_barriers = {s for s, a in self._live.items() if a.barrier}
         if set(self._barriers) != live_barriers:
             problems.append(
@@ -476,6 +510,10 @@ class HistoryWindow(StreamWindow):
 
     __slots__ = ()
 
-    @staticmethod
-    def _completed(action: Action) -> bool:
-        return False
+    def __init__(
+        self,
+        strict_fifo: bool = False,
+        policy: Optional[DependencePolicy] = None,
+    ):
+        super().__init__(strict_fifo, policy)
+        self._completed = _never_completed

@@ -117,6 +117,10 @@ for _state, _succ in _TRANSITIONS.items():
     _state.is_terminal = not _succ
 del _state, _succ
 
+#: Bound once for the per-action paths: on Python 3.11 a member lookup
+#: such as ``ActionState.ENQUEUED`` is a ~0.1 us class-attribute call.
+_ENQUEUED = ActionState.ENQUEUED
+
 
 class ActionRecord(NamedTuple):
     """Immutable lifecycle summary of one finished action.
@@ -179,7 +183,7 @@ class ActionNode:
 
     def __init__(self, action: "Action", t_enqueue: float):
         self.action = action
-        self.state = ActionState.ENQUEUED
+        self.state = _ENQUEUED
         #: Number of unfinished dependences gating this node.
         self.waiting = 0
         #: Nodes that must be notified when this one finishes.

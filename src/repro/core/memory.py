@@ -58,6 +58,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
@@ -127,12 +128,18 @@ class IntervalSet:
 
     def subtract(self, start: int, end: int) -> None:
         """Remove ``[start, end)`` from the set."""
-        if start >= end or not self._iv:
+        iv = self._iv
+        if start >= end or not iv:
             return
-        if end <= self._iv[0][0] or start >= self._iv[-1][1]:
+        if end <= iv[0][0] or start >= iv[-1][1]:
             return  # entirely outside the covered span
+        for s, e in iv:
+            if s < end and start < e:
+                break
+        else:
+            return  # inside a gap: nothing to remove
         out: List[Tuple[int, int]] = []
-        for s, e in self._iv:
+        for s, e in iv:
             if e <= start or s >= end:
                 out.append((s, e))
                 continue
@@ -360,6 +367,10 @@ class EvictionPolicy:
     """
 
     name = "manual"
+    #: Whether :meth:`select_victims` reads ``BufferCoherence.last_touch``.
+    #: When False the manager skips the per-operand LRU touches on
+    #: admission and completion.
+    reads_recency = True
 
     def select_victims(
         self, manager: "MemoryManager", domain: int, need_bytes: int
@@ -371,6 +382,7 @@ class ManualEviction(EvictionPolicy):
     """Today's behavior: the program evicts explicitly or fails."""
 
     name = "manual"
+    reads_recency = False
 
 
 class LruEviction(EvictionPolicy):
@@ -413,6 +425,13 @@ EVICTION_POLICIES: Dict[str, type] = {
 
 
 # -- the manager ---------------------------------------------------------------
+
+#: Bound once for :meth:`MemoryManager.on_enqueue`, which runs per
+#: admitted action: on Python 3.11 an enum member lookup such as
+#: ``ActionKind.COMPUTE`` is a ~0.1 us class-attribute call.
+_COMPUTE = ActionKind.COMPUTE
+_XFER = ActionKind.XFER
+_SRC_TO_SINK = XferDirection.SRC_TO_SINK
 
 
 @guarded_by("_lock", "_coh", "_bufs", "_allocated", "_instances", "_tick")
@@ -504,6 +523,12 @@ class MemoryManager(SchedulerObserver):
         :class:`~repro.core.errors.HStreamsOutOfMemory` when the policy
         cannot free enough clean, non-busy instances.
         """
+        # Every enqueue lands here once per operand, and the instance
+        # almost always exists: answer that without the lock. Instances
+        # are only added under it, and an eviction racing this check
+        # could as well land just after the locked one returned.
+        if domain in buf.instances:
+            return
         with self._lock:
             if buf.instantiated_in(domain):
                 return
@@ -641,52 +666,80 @@ class MemoryManager(SchedulerObserver):
         stream = action.stream
         if stream is None:
             return
-        if action.kind is ActionKind.COMPUTE:
-            # Replay's hottest observer loop: coherence lookups hoisted,
-            # LRU touches batched into one tick-counter writeback.
+        # The hottest observer on both enqueue and replay: coherence
+        # lookups and the interval-set cover test are inlined, and the
+        # LRU touches (one tick-counter writeback) are made only for a
+        # policy that reads them.
+        coh_map = self._coh
+        kind = action.kind
+        if kind is _COMPUTE:
             sink = stream.domain
-            coherence = self.coherence
-            tick = self._tick
-            for op in action.operands:
-                coh = coherence(op.buffer)
-                tick += 1
-                coh.last_touch[sink] = tick
-                if op.mode.writes and op.nbytes > 0:
-                    coh.expected_in(sink).add(op.offset, op.end)
-                    for domain, iv in coh.expected.items():
-                        if domain != sink:
-                            iv.subtract(op.offset, op.end)
-            self._tick = tick
-        elif action.kind is ActionKind.XFER:
+            if self.policy.reads_recency:
+                self._touch_operands(action.operands, sink)
+            # The footprint is the non-empty operands' (uid, start,
+            # end, writes), already unpacked.
+            for uid, start, end, writes in action.footprint:
+                if writes:
+                    coh = coh_map.get(uid)
+                    if coh is None:
+                        coh = self._first_coherence(action, uid)
+                    expected = coh.expected
+                    own = expected.get(sink)
+                    if own is None:
+                        own = coh.expected_in(sink)
+                    for s, e in own._iv:
+                        if s <= start and end <= e:
+                            break  # already expected-valid (the usual case)
+                    else:
+                        own.add(start, end)
+                    for domain, iv in expected.items():
+                        if domain != sink and iv._iv:
+                            iv.subtract(start, end)
+        elif kind is _XFER:
             op = action.operands[0]
-            coh = self.coherence(op.buffer)
-            self._touch(coh, stream.domain)
-            self._touch(coh, action.src_domain if action.src_domain is not None else 0)
-            if stream.domain == 0:
+            buf = op.buffer
+            coh = coh_map.get(buf.uid)
+            if coh is None:
+                coh = self.coherence(buf)
+            sink = stream.domain
+            if self.policy.reads_recency:
+                src = action.src_domain
+                self._touch(coh, sink)
+                self._touch(coh, 0 if src is None else src)
+            if sink == 0:
                 # Host-as-target: source and sink instances alias, the
                 # backends already skip the copy (paper §V).
                 self.aliased_transfers += 1
                 return
-            dst = (
-                stream.domain
-                if action.direction is XferDirection.SRC_TO_SINK
-                else 0
-            )
-            dest = coh.expected_in(dst)
-            if (
-                self.transfer_elision
-                and op.nbytes > 0
-                and dest.covers(op.offset, op.end)
-            ):
-                # The destination already holds (or will hold, once its
-                # stream-ordered producers run) the bytes this transfer
-                # would move: complete it without moving anything. The
-                # action still flows through the scheduler, so
-                # dependence ordering is untouched.
-                action.elided = True
-                self.elided_transfers += 1
-                self.elided_bytes += op.nbytes
-            dest.add(op.offset, op.end)
+            dst = sink if action.direction is _SRC_TO_SINK else 0
+            dest = coh.expected.get(dst)
+            if dest is None:
+                dest = coh.expected_in(dst)
+            start = op.offset
+            nbytes = op.nbytes
+            end = start + nbytes
+            for s, e in dest._iv:
+                if s <= start and end <= e:
+                    if self.transfer_elision and nbytes > 0:
+                        # The destination already holds (or will hold,
+                        # once its stream-ordered producers run) the
+                        # bytes this transfer would move: complete it
+                        # without moving anything. The action still
+                        # flows through the scheduler, so dependence
+                        # ordering is untouched.
+                        action.elided = True
+                        self.elided_transfers += 1
+                        self.elided_bytes += nbytes
+                    break
+            else:
+                dest.add(start, end)
+
+    @caller_locked("_lock")
+    def _first_coherence(self, action: "Action", uid: int) -> BufferCoherence:
+        """The coherence record of ``action``'s operand buffer ``uid``,
+        created: the rare first touch of a never-instantiated buffer."""
+        buf = next(op.buffer for op in action.operands if op.buffer.uid == uid)
+        return self.coherence(buf)
 
     @caller_locked("_lock")
     def on_action_complete(self, action: "Action", record: "ActionRecord") -> None:
@@ -701,22 +754,24 @@ class MemoryManager(SchedulerObserver):
         compute leaves its instance clean rather than DIRTY, so
         pressure/manual eviction of poisoned instances stays legal.
         """
-        # Completion's per-action observer: as in on_enqueue, the
-        # coherence lookup is hoisted and the LRU touches share one
-        # tick-counter writeback.
-        coherence = self.coherence
         if record.state == "complete":
-            apply_action_writes(coherence, action)
+            apply_action_writes(self.coherence, action)
         else:
             self._rollback_action(action)
         stream = action.stream
-        if stream is not None:
-            domain = stream.domain
-            tick = self._tick
-            for op in action.operands:
-                tick += 1
-                coherence(op.buffer).last_touch[domain] = tick
-            self._tick = tick
+        if stream is not None and self.policy.reads_recency:
+            self._touch_operands(action.operands, stream.domain)
+
+    @caller_locked("_lock")
+    def _touch_operands(self, operands: Sequence["Operand"], domain: int) -> None:
+        """LRU-touch each operand's buffer in ``domain``, in order (one
+        tick-counter writeback)."""
+        coherence = self.coherence
+        tick = self._tick
+        for op in operands:
+            tick += 1
+            coherence(op.buffer).last_touch[domain] = tick
+        self._tick = tick
 
     @caller_locked("_lock")
     def _rollback_action(self, action: "Action") -> None:

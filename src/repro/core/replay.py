@@ -204,6 +204,12 @@ class GraphTemplate:
         #: unbound instances — the (buffer, domain) set is a template
         #: property until a rebinding changes the buffers.
         self._sites: Optional[List[Tuple["Buffer", int]]] = None
+        #: Memoized :meth:`quiescent_streams` and :meth:`admitted_counts`
+        #: (fixed once the capture scope closes).
+        self._quiescent: Optional[List["Stream"]] = None
+        self._counts: Optional[Dict[str, int]] = None
+        #: Memoized :meth:`flat_dep_indices`.
+        self._flat_deps: Optional[Tuple[List[int], List[Tuple[int, int]]]] = None
 
     def __len__(self) -> int:
         return len(self.protos)
@@ -219,6 +225,39 @@ class GraphTemplate:
                 seen.add(stream.id)
                 out.append(stream)
         return out
+
+    def quiescent_streams(self) -> List["Stream"]:
+        """The streams a replay requires idle: :attr:`streams`, then the
+        :attr:`external_streams` not among them. Memoized per template."""
+        if self._quiescent is None:
+            own = self.streams
+            self._quiescent = own + [
+                s for s in self.external_streams if s not in own
+            ]
+        return self._quiescent
+
+    def admitted_counts(self) -> Dict[str, int]:
+        """What one replay adds to ``HStreams.stats``, memoized per
+        template: rebinding keeps every action's kind and size."""
+        if self._counts is None:
+            counts = dict.fromkeys(self.runtime.stats, 0)
+            self.runtime._count_admitted(self.protos, counts)
+            self._counts = counts
+        return self._counts
+
+    def flat_dep_indices(self) -> Tuple[List[int], List[Tuple[int, int]]]:
+        """:attr:`dep_indices` as one flat index list plus each
+        prototype's ``(lo, hi)`` slice of it, memoized per template:
+        an instance then resolves every producer in one ``map``."""
+        if self._flat_deps is None:
+            flat: List[int] = []
+            bounds: List[Tuple[int, int]] = []
+            for idx in self.dep_indices:
+                lo = len(flat)
+                flat.extend(idx)
+                bounds.append((lo, len(flat)))
+            self._flat_deps = (flat, bounds)
+        return self._flat_deps
 
     def validate(self) -> list:
         """Run the hazard analyzer's rules over the captured trace.
@@ -269,12 +308,10 @@ class GraphTemplate:
                         f"to {new.name!r} ({new.nbytes}B): sizes must match"
                     )
                 remap[old.uid] = new
-        actions: List[Action] = []
-        for proto in self.protos:
-            a = proto.clone_for_replay()
-            if remap:
+        actions = [proto.clone_for_replay() for proto in self.protos]
+        if remap:
+            for a in actions:
                 self._rebind(a, remap)
-            actions.append(a)
         return GraphInstance(self, actions, rebound=bool(remap))
 
     def _rebind(self, action: Action, remap: Dict[int, "Buffer"]) -> None:
@@ -337,11 +374,11 @@ class GraphInstance:
         #: Whether :meth:`GraphTemplate.instantiate` rebound any buffer
         #: (rebinding invalidates the template's memoized site set).
         self.rebound = rebound
-        self._dep_lists: Optional[List[Tuple[Action, ...]]] = None
+        self._dep_lists: Optional[List[List[Action]]] = None
         self.consumed = False
 
     @property
-    def dep_lists(self) -> List[Tuple[Action, ...]]:
+    def dep_lists(self) -> List[List[Action]]:
         """Per-action producer actions (template edges over the clones).
 
         What :meth:`~repro.core.scheduler.Scheduler.admit_instance`
@@ -349,10 +386,9 @@ class GraphInstance:
         poison check and the observers' ``deps`` all read it.
         """
         if self._dep_lists is None:
-            get = self.actions.__getitem__
-            self._dep_lists = [
-                tuple(map(get, idx)) for idx in self.template.dep_indices
-            ]
+            flat_idx, bounds = self.template.flat_dep_indices()
+            flat = list(map(self.actions.__getitem__, flat_idx))
+            self._dep_lists = [flat[lo:hi] for lo, hi in bounds]
         return self._dep_lists
 
     def __len__(self) -> int:

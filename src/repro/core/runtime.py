@@ -55,6 +55,11 @@ __all__ = ["DomainInfo", "HStreams", "KernelSpec"]
 #: internally without the program opting in.
 _capture_registry: Optional[List["HStreams"]] = None
 
+#: Bound once for the per-enqueue count: on Python 3.11 a member lookup
+#: such as ``ActionKind.COMPUTE`` is a ~0.1 us class-attribute call.
+_COMPUTE = ActionKind.COMPUTE
+_XFER = ActionKind.XFER
+
 
 class DomainInfo:
     """One discoverable domain: its device and resource bookkeeping."""
@@ -527,7 +532,7 @@ class HStreams:
         self.buffers.append(buf)
         self.scheduler.notify_buffer("create", buf)
         for d in {0, *domains}:
-            self._ensure_instance(buf, d)
+            self.memory.instantiate(buf, d)
         return buf
 
     def wrap(self, array: np.ndarray, name: str = "") -> Buffer:
@@ -563,9 +568,6 @@ class HStreams:
         self._check_init()
         self.memory.evict(buf, domain)
 
-    def _ensure_instance(self, buf: Buffer, domain: int) -> None:
-        self.memory.instantiate(buf, domain)
-
     # -- kernels -------------------------------------------------------------------
 
     def register_kernel(
@@ -596,18 +598,21 @@ class HStreams:
     @staticmethod
     def _collect_operands(args: Sequence, extra: Sequence) -> Tuple[Operand, ...]:
         ops: List[Operand] = []
-        for item in tuple(args) + tuple(extra):
-            if isinstance(item, Operand):
-                ops.append(item)
-            elif isinstance(item, Buffer):
-                ops.append(item.all_inout())
-        for op in ops:
-            if op.mode.writes and op.buffer.read_only:
-                raise HStreamsBadArgument(
-                    f"buffer {op.buffer.name!r} is read-only; writing "
-                    "operands are not allowed (declare the usage property "
-                    "accordingly, paper §II)"
-                )
+        for items in (args, extra):
+            for item in items:
+                if isinstance(item, Operand):
+                    op = item
+                elif isinstance(item, Buffer):
+                    op = item.all_inout()
+                else:
+                    continue
+                if op.mode.writes and op.buffer.read_only:
+                    raise HStreamsBadArgument(
+                        f"buffer {op.buffer.name!r} is read-only; writing "
+                        "operands are not allowed (declare the usage "
+                        "property accordingly, paper §II)"
+                    )
+                ops.append(op)
         return tuple(ops)
 
     def enqueue_compute(
@@ -631,7 +636,7 @@ class HStreams:
         if cost is None and spec.cost_fn is not None:
             cost = spec.cost_fn(*args)
         action = Action(
-            kind=ActionKind.COMPUTE,
+            kind=_COMPUTE,
             stream=stream,
             operands=ops,
             kernel=kernel,
@@ -639,8 +644,9 @@ class HStreams:
             cost=cost,
             label=label,
         )
+        instantiate = self.memory.instantiate
         for op in ops:
-            self._ensure_instance(op.buffer, stream.domain)
+            instantiate(op.buffer, stream.domain)
         return self._enqueue(action)
 
     def enqueue_xfer(
@@ -657,31 +663,27 @@ class HStreams:
         immediately but still participates in dependence ordering.
         """
         self._check_init()
+        mode = (
+            OperandMode.OUT
+            if direction is XferDirection.SRC_TO_SINK
+            else OperandMode.IN
+        )
         if isinstance(operand, Buffer):
-            operand = operand.all(
-                OperandMode.OUT
-                if direction is XferDirection.SRC_TO_SINK
-                else OperandMode.IN
-            )
+            operand = operand.all(mode)
         else:
-            mode = (
-                OperandMode.OUT
-                if direction is XferDirection.SRC_TO_SINK
-                else OperandMode.IN
-            )
             # Rebuild with only the mode changed: dtype/shape must survive
             # so sink-side views keep the caller's element type.
             operand = _dc_replace(operand, mode=mode)
         action = Action(
-            kind=ActionKind.XFER,
+            kind=_XFER,
             stream=stream,
             operands=(operand,),
             direction=direction,
             nbytes=operand.nbytes,
             label=label,
         )
-        self._ensure_instance(operand.buffer, 0)
-        self._ensure_instance(operand.buffer, stream.domain)
+        self.memory.instantiate(operand.buffer, 0)
+        self.memory.instantiate(operand.buffer, stream.domain)
         return self._enqueue(action)
 
     def event_stream_wait(
@@ -706,9 +708,9 @@ class HStreams:
             stream=stream,
             operands=ops,
             label=label,
+            deps=list(events),
             barrier=operands is None,
         )
-        action.deps.extend(events)
         return self._enqueue(action)
 
     def _enqueue(self, action: Action) -> HEvent:
@@ -718,17 +720,22 @@ class HStreams:
         self._count_admitted((action,))
         return event
 
-    def _count_admitted(self, actions: Sequence[Action]) -> None:
-        """Fold actions the scheduler admitted into :attr:`stats`.
+    def _count_admitted(
+        self, actions: Sequence[Action], stats: Optional[Dict[str, int]] = None
+    ) -> None:
+        """Fold actions the scheduler admitted into :attr:`stats` (or
+        into ``stats``, a dict with the same keys).
 
         Called after admission returns, so rejected work is never
         counted and ``stats`` agrees with ``metrics()["actions"]``.
         """
-        stats = self.stats
+        if stats is None:
+            stats = self.stats
         for action in actions:
-            if action.kind is ActionKind.COMPUTE:
+            kind = action.kind
+            if kind is _COMPUTE:
                 stats["computes"] += 1
-            elif action.kind is ActionKind.XFER:
+            elif kind is _XFER:
                 stats["transfers"] += 1
                 stats["bytes_transferred"] += action.nbytes
             else:
@@ -913,9 +920,7 @@ class HStreams:
         # Quiescence preflight. The template dropped its edges to
         # pre-capture work (external_deps); requiring the involved
         # streams to be idle re-establishes that ordering wholesale.
-        for stream in template.streams + [
-            s for s in template.external_streams if s not in template.streams
-        ]:
+        for stream in template.quiescent_streams():
             if stream not in self.streams:
                 raise HStreamsNotFound(
                     f"cannot replay: stream {stream.name!r} was destroyed "
@@ -930,13 +935,16 @@ class HStreams:
         # One host-overhead advance per replayed batch — per-action
         # enqueue overhead is exactly what replay amortizes away.
         self.backend.advance_host(self.config.enqueue_overhead_s)
+        instantiate = self.memory.instantiate
         for buf, domain in instance.instance_sites():
-            self._ensure_instance(buf, domain)
+            instantiate(buf, domain)
         self.scheduler.admit_instance(instance)
         # Only an admitted instance is spent: a rejected one (fail_fast,
         # quota) admitted nothing and can be replayed again.
         instance.consumed = True
-        self._count_admitted(instance.actions)
+        stats = self.stats
+        for key, count in template.admitted_counts().items():
+            stats[key] += count
         return instance
 
     # -- synchronization -----------------------------------------------------------

@@ -63,6 +63,10 @@ __all__ = ["FailureState", "Scheduler", "SchedulerObserver", "StreamStats"]
 #: Recognized values of ``HStreams(failure_policy=...)``.
 FAILURE_POLICIES = ("poison", "fail_fast", "retry")
 
+#: Bound once for the admission loop: on Python 3.11 a member lookup
+#: such as ``ActionState.READY`` is a ~0.1 us class-attribute call.
+_READY = ActionState.READY
+
 #: Shared empty dangling-wait list for the common enqueue (no explicit
 #: waits claimed): handed to observers read-only, never mutated.
 _NO_DANGLING: List["HEvent"] = []
@@ -270,7 +274,6 @@ class StreamStats:
         "stream",
         "depth",
         "max_depth",
-        "enqueued",
         "completed",
         "failed",
         "cancelled",
@@ -288,7 +291,6 @@ class StreamStats:
         self.depth = 0
         #: High-water mark of :attr:`depth`.
         self.max_depth = 0
-        self.enqueued = 0
         self.completed = 0
         self.failed = 0
         #: Actions poisoned into CANCELLED by a failed producer.
@@ -306,6 +308,12 @@ class StreamStats:
         #: Whether the stream has been torn down; its stats survive in
         #: the final :meth:`Scheduler.metrics` snapshot regardless.
         self.destroyed = False
+
+    @property
+    def enqueued(self) -> int:
+        """Actions admitted into the stream: the finished ones plus the
+        in-flight :attr:`depth` (admission keeps no counter of its own)."""
+        return self.completed + self.failed + self.cancelled + self.depth
 
     def snapshot(self) -> Dict[str, Any]:
         """Plain-dict view for :meth:`Scheduler.metrics`."""
@@ -348,6 +356,9 @@ class Scheduler:
 
     def __init__(self, runtime: "HStreams"):
         self.runtime = runtime
+        #: The owning runtime's failure policy (defaults to poison),
+        #: read once: ``HStreams`` fixes it at construction.
+        self.failure_policy: str = getattr(runtime, "failure_policy", "poison")
         #: The runtime's rtsan sanitizer, or None (the common case).
         #: Checked on the hot path as a single attribute test.
         self._sanitizer = getattr(runtime, "sanitizer", None)
@@ -369,7 +380,6 @@ class Scheduler:
         history = int(runtime.config.metrics_history)
         self._records: Deque[ActionRecord] = deque(maxlen=history if history > 0 else 0)
         self._totals = {
-            "enqueued": 0,
             "completed": 0,
             "failed": 0,
             "cancelled": 0,
@@ -406,6 +416,10 @@ class Scheduler:
         """Start tracking scheduling metrics for a new stream."""
         with self._lock:
             self._streams[stream.id] = StreamStats(stream)
+            # _finish_node retires each entry in the lock hold that
+            # fires its completion, so the window's scans need not
+            # probe completion (checked by _check_invariants_locked).
+            stream.window.retire_eagerly()
             if self._sanitizer is not None:
                 # The window's live set and conflict index are mutated
                 # only under this lock; wire the guard and instrument.
@@ -445,8 +459,8 @@ class Scheduler:
 
         ``action.deps`` may already hold explicit cross-stream event
         waits (``event_stream_wait``); intra-stream dependences come from
-        the stream's window view under its FIFO policy
-        (:meth:`_resolve_deps`). A batch of one through
+        the stream's window view under its FIFO policy, plus
+        :meth:`_resolve_waits`. A batch of one through
         :meth:`_admit_and_dispatch`. Returns the completion event.
         """
         self._admit_and_dispatch((action,), None)
@@ -486,7 +500,8 @@ class Scheduler:
         once per namespace before any node exists
         (:meth:`_check_admission`), so a rejected batch admits nothing.
         Then, per action in order: its producers (``dep_lists[i]``, or
-        the window scan plus explicit waits when ``dep_lists`` is None),
+        the window scan plus explicit waits when ``dep_lists`` is None;
+        ``dep_lists`` is None only for a single enqueue),
         its admission-poison check, a graph node edged after its live
         producers, a completion event, its window entry, the stats and a
         ``sched:`` depth sample, and the observer callbacks. Completions
@@ -505,12 +520,20 @@ class Scheduler:
             streams = self._streams
             poisoned = self._poisoned
             tracer = self.runtime.tracer
-            for i, action in enumerate(actions):
+            traced = tracer.enabled
+            if dep_lists is None:
+                dep_lists = (None,) * len(actions)
+            for action, deps in zip(actions, dep_lists):
                 stream = action.stream
-                if dep_lists is None:
-                    deps, dangling = self._resolve_deps(action)
+                if deps is None:
+                    deps = stream.window.deps_for(action)
+                    dangling = (
+                        self._resolve_waits(action, deps)
+                        if action.deps
+                        else _NO_DANGLING
+                    )
                 else:
-                    deps, dangling = dep_lists[i], _NO_DANGLING
+                    dangling = _NO_DANGLING
                 # Work admitted *after* a producer failed must poison
                 # exactly like work admitted before: failed actions have
                 # already left the live graph and the stream window, so
@@ -520,25 +543,24 @@ class Scheduler:
                 action.completion = HEvent(backend, make_handle(), action)
                 stream.window.add(action)
                 stats = streams.get(stream.id) or self._stream_stats(stream)
-                stats.enqueued += 1
                 stats.dep_edges += node.waiting
-                stats.depth += 1
-                if stats.depth > stats.max_depth:
-                    stats.max_depth = stats.depth
+                depth = stats.depth + 1
+                stats.depth = depth
+                if depth > stats.max_depth:
+                    stats.max_depth = depth
                 if stream.namespace:
                     self._ns_inflight[stream.namespace] = (
                         self._ns_inflight.get(stream.namespace, 0) + 1
                     )
-                self._totals["enqueued"] += 1
                 self._outstanding += 1
-                if tracer.enabled:
-                    tracer.counter(f"sched:{stream.lane}", now, stats.depth)
+                if traced:
+                    tracer.counter(f"sched:{stream.lane}", now, depth)
                 for obs in observers:
                     obs.on_enqueue(action, deps, dangling)
                 if poison is not None:
                     self._cancel_subgraph(node, poison, now)
                 elif node.waiting == 0:
-                    node.transition(ActionState.READY)
+                    node.transition(_READY)
                     node.t_ready = now
                     ready.append(action)
             if self._sanitizer is not None:
@@ -612,53 +634,52 @@ class Scheduler:
             return list(stream.window.deps_for(probe))
 
     @caller_locked("_lock")
-    def _resolve_deps(self, action: "Action") -> Tuple[List["Action"], List[HEvent]]:
-        """An enqueued action's producers: window scan plus explicit waits.
+    def _resolve_waits(self, action: "Action", deps: List["Action"]) -> List[HEvent]:
+        """Append an enqueued action's explicit event waits to ``deps``,
+        its window-scan producers.
 
         Lock held, before the node exists, so a rejected wait leaves no
-        zombie node behind. Returns ``(deps, dangling)``: every producer
-        action, live or finished (the graph edges only the live ones),
-        and any dangling waits an observer claimed.
+        zombie node behind. ``deps`` ends up holding every producer
+        action, live or finished (the graph edges only the live ones);
+        returns the dangling waits an observer claimed. The scan's list
+        is ours, so it doubles as the observer-facing producer list;
+        ``action.deps`` stays the explicit event waits.
         """
-        # The scan's list is ours, so it doubles as the observer-facing
-        # producer list; ``action.deps`` stays the explicit event waits.
-        deps = action.stream.window.deps_for(action)
         dangling: List[HEvent] = _NO_DANGLING
-        if action.deps:
-            # Explicit waits may duplicate each other or a window
-            # dependence; the common enqueue has none, so the dedup
-            # set is built only on this path. ``deps`` keeps every
-            # waited action, including already-completed ones (capture
-            # mode completes everything instantly, so the live graph
-            # alone would record no edges at all).
-            seen = {prev.seq for prev in deps}
-            for ev in action.deps:
-                dep = ev.action
-                if dep is not None:
-                    if dep.seq in seen:
-                        continue
-                    seen.add(dep.seq)
-                    deps.append(dep)
-                if self.graph.get(dep) is None and not ev.is_complete():
-                    # An observer (the capture recorder) may claim the
-                    # dangling wait as a diagnostic instead of an
-                    # error. Every observer gets to see it (no
-                    # short-circuit).
-                    claims = [
-                        obs.on_dangling_wait(action, ev)
-                        for obs in self.observers
-                    ]
-                    if any(claims):
-                        if dangling is _NO_DANGLING:
-                            dangling = []
-                        dangling.append(ev)
-                        continue
-                    raise HStreamsBadArgument(
-                        f"{action.display!r} waits on an event unknown to "
-                        "this runtime's scheduler; cross-runtime event "
-                        "dependences are not supported"
-                    )
-        return deps, dangling
+        # Explicit waits may duplicate each other or a window
+        # dependence; the common enqueue has none, so the dedup set is
+        # built only on this path. ``deps`` keeps every waited action,
+        # including already-completed ones (capture mode completes
+        # everything instantly, so the live graph alone would record no
+        # edges at all).
+        seen = {prev.seq for prev in deps}
+        for ev in action.deps:
+            dep = ev.action
+            if dep is not None:
+                if dep.seq in seen:
+                    continue
+                seen.add(dep.seq)
+                deps.append(dep)
+            if self.graph.get(dep) is None and not ev.is_complete():
+                # An observer (the capture recorder) may claim the
+                # dangling wait as a diagnostic instead of an
+                # error. Every observer gets to see it (no
+                # short-circuit).
+                claims = [
+                    obs.on_dangling_wait(action, ev)
+                    for obs in self.observers
+                ]
+                if any(claims):
+                    if dangling is _NO_DANGLING:
+                        dangling = []
+                    dangling.append(ev)
+                    continue
+                raise HStreamsBadArgument(
+                    f"{action.display!r} waits on an event unknown to "
+                    "this runtime's scheduler; cross-runtime event "
+                    "dependences are not supported"
+                )
+        return dangling
 
     @caller_locked("_lock")
     def _admission_poison(
@@ -693,11 +714,6 @@ class Scheduler:
                 return
             node.transition(ActionState.RUNNING)
             node.t_start = when if when is not None else self.runtime.backend.now()
-
-    @property
-    def failure_policy(self) -> str:
-        """The owning runtime's failure policy (defaults to poison)."""
-        return getattr(self.runtime, "failure_policy", "poison")
 
     def on_complete(
         self,
@@ -1179,12 +1195,17 @@ class Scheduler:
           (bounded by ``RuntimeConfig.metrics_history``).
         """
         with self._lock:
+            totals = self._totals
             return {
                 "actions": {
-                    "enqueued": self._totals["enqueued"],
-                    "completed": self._totals["completed"],
-                    "failed": self._totals["failed"],
-                    "cancelled": self._totals["cancelled"],
+                    # Every admitted action is in flight or finished.
+                    "enqueued": totals["completed"]
+                    + totals["failed"]
+                    + totals["cancelled"]
+                    + self._outstanding,
+                    "completed": totals["completed"],
+                    "failed": totals["failed"],
+                    "cancelled": totals["cancelled"],
                     "retried": self._totals["retried"],
                     "dep_edges": sum(
                         stats.dep_edges for stats in self._streams.values()

@@ -88,6 +88,9 @@ class SimBackend(Backend):
         self.init_cost_s = self.coi.init_cost_s
         #: Cumulative host-blocking allocation cost (the §VII bottleneck).
         self.alloc_blocked_s = 0.0
+        #: The handle every completion that no host wait asked for
+        #: shares (see make_handle): an engine event that has fired.
+        self._fired = Event(self.engine).trigger()
 
     def fabric_metrics(self) -> Dict[str, object]:
         """Interconnect counters for ``hs.metrics()['fabric']``."""
@@ -98,14 +101,29 @@ class SimBackend(Backend):
 
     # -- handles & events -----------------------------------------------------
 
-    def make_handle(self) -> Event:
-        return self.engine.event()
+    def make_handle(self) -> None:
+        # The engine event behind a completion is made only when a host
+        # wait needs one (_handle): most completions are never waited
+        # on one by one, and admission then allocates nothing here.
+        return None
+
+    def _handle(self, event: HEvent) -> Event:
+        """The engine event ``event`` fires, made on first demand."""
+        handle = event.handle
+        if handle is None:
+            handle = event.handle = Event(self.engine)
+        return handle
 
     def event_done(self, event: HEvent) -> bool:
-        return event.handle.triggered
+        handle = event.handle
+        return handle is not None and handle.triggered
 
     def signal_completion(self, event: HEvent, when: float) -> None:
-        event.handle.trigger()
+        handle = event.handle
+        if handle is None:
+            event.handle = self._fired
+        else:
+            handle.trigger()
 
     # -- provisioning -----------------------------------------------------------
 
@@ -249,7 +267,7 @@ class SimBackend(Backend):
         scope: Optional[str] = None,
     ) -> None:
         failure = self.runtime.scheduler.failure
-        handles = [e.handle for e in events]
+        handles = [self._handle(e) for e in events]
         target = (
             self.engine.all_of(handles) if wait_all else self.engine.any_of(handles)
         )

@@ -97,11 +97,6 @@ class Device:
         """Architectural double-precision peak for the whole device."""
         return self.total_cores * self.clock_ghz * self.dp_flops_per_cycle
 
-    @property
-    def peak_sp_gflops(self) -> float:
-        """Architectural single-precision peak for the whole device."""
-        return self.total_cores * self.clock_ghz * self.sp_flops_per_cycle
-
     # -- achievable rates ----------------------------------------------------
 
     def efficiency(self, kernel: str, size: float) -> float:

@@ -194,3 +194,25 @@ class TestOperandHelpers:
         b = Buffer(ProxyAddressSpace(), nbytes=64)
         with pytest.raises(HStreamsBadArgument):
             b.tensor((100, 100))
+
+    @pytest.mark.parametrize(
+        "shape, dtype",
+        [
+            ((np.int64(3), np.int32(4)), np.float64),  # numpy-integer dims
+            ((), np.float64),  # a scalar: one element
+            ((5, 0, 7), np.float64),  # a zero-size dimension
+            ((2, 3), np.complex64),  # a non-float64 dtype
+            ((2, 3), "int16"),  # a dtype given by name
+            ([4, 5], np.float32),  # a shape given as a list
+        ],
+    )
+    def test_tensor_matches_numpy_formula(self, shape, dtype):
+        b = Buffer(ProxyAddressSpace(), nbytes=1024)
+        op = b.tensor(shape, dtype=dtype)
+        expected = int(np.prod(shape)) * np.dtype(dtype).itemsize
+        assert op.nbytes == expected
+        assert type(op.nbytes) is int
+        assert op.dtype == np.dtype(dtype)
+        assert isinstance(op.dtype, np.dtype)
+        assert op.shape == tuple(shape)
+        assert isinstance(op.shape, tuple)

@@ -286,6 +286,27 @@ class TestWindowBookkeeping:
         assert w.in_flight == 0  # the scan dropped it
         assert w.retired_count == 1
 
+    def test_eager_window_never_probes_completion(self, buf):
+        # A window its owner retires eagerly (the scheduler's) treats
+        # every live entry as incomplete: the scans neither poll the
+        # completion event nor drop the entry.
+        w = StreamWindow()
+        assert not w.eager
+        w.retire_eagerly()
+        assert w.eager
+        a = make_action([wr(buf, 0, 8)])
+        w.add(a)
+        a.completion.complete()
+        assert w.deps_for(make_action([rd(buf, 0, 8)])) == [a]
+        assert w.newest_live() is a
+        assert w.in_flight == 1 and w.retired_count == 0
+        assert w.check_index() == [
+            f"window: {a.display!r} completed but is still live in an "
+            "eagerly retired window"
+        ]
+        w.retire(a)
+        assert w.check_index() == []
+
     def test_enqueued_count_never_decreases(self, buf):
         w = StreamWindow()
         for i in range(5):

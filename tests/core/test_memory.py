@@ -146,6 +146,25 @@ class TestLruEviction:
         with pytest.raises(HStreamsOutOfMemory):
             hs.buffer_create(nbytes=6 * MB, domains=[1])
 
+    @pytest.mark.parametrize("policy, touches", [("lru", 5), ("manual", 0)])
+    def test_admission_and_completion_touch_only_for_lru(self, policy, touches):
+        # LRU reads last_touch; the manual policy never does, so the
+        # manager skips the per-operand touches for it.
+        hs = HStreams(platform=make_platform("HSW", 1), backend="sim",
+                      trace=False, eviction_policy=policy)
+        hs.register_kernel("gemm", cost_fn=lambda m, n, k, *a: dgemm(m, n, k))
+        s = hs.stream_create(domain=1, ncores=61)
+        a = hs.buffer_create(nbytes=MB, domains=[1])
+        b = hs.buffer_create(nbytes=MB, domains=[1])
+        with hs.scheduler._lock:
+            tick = hs.memory._tick
+        hs.enqueue_xfer(s, a)  # two touches at admission, one at completion
+        hs.enqueue_compute(s, "gemm", args=(64, 64, 64, b.all_inout()))
+        hs.thread_synchronize()  # the compute: one at admission, one after
+        with hs.scheduler._lock:
+            assert hs.memory._tick - tick == touches
+            assert (hs.memory.coherence(b).last_touch[1] > tick) == bool(touches)
+
 
 class TestCoherenceStates:
     def test_invalid_valid_dirty_cycle(self):
@@ -162,6 +181,30 @@ class TestCoherenceStates:
         assert hs.memory.state(buf, 1) is CoherenceState.DIRTY
         hs.buffer_evict(buf, 1)
         assert hs.memory.state(buf, 1) is CoherenceState.INVALID
+
+    def test_first_admission_of_an_unseen_buffer_creates_its_record(self):
+        # A buffer the manager never instantiated (built on the proxy
+        # space directly) still gets a coherence record when a compute
+        # writing it is admitted, and completion commits it.
+        from repro.core.actions import Action, ActionKind, OperandMode, XferDirection
+        from repro.core.buffer import Buffer
+
+        hs = HStreams(platform=make_platform("HSW", 1), backend="sim", trace=False)
+        hs.register_kernel("gemm", cost_fn=lambda m, n, k, *a: dgemm(m, n, k))
+        s = hs.stream_create(domain=1, ncores=61)
+        buf = Buffer(hs.proxy_space, nbytes=64)
+        op = buf.range(0, 64, OperandMode.OUT)
+        hs.scheduler.enqueue(Action(
+            kind=ActionKind.COMPUTE, stream=s, operands=(op,), kernel="gemm",
+            args=(op,), cost=dgemm(8, 8, 8),
+        ))
+        assert hs.memory.state(buf, 1) is CoherenceState.INVALID
+        # The write left the host copy stale, so the retrieval moves bytes.
+        back = hs.enqueue_xfer(s, buf, XferDirection.SINK_TO_SRC)
+        assert not back.action.elided
+        hs.thread_synchronize()
+        assert hs.memory.state(buf, 0) is CoherenceState.VALID
+        hs.fini()
 
     def test_host_instance_of_wrap_is_valid_from_creation(self):
         hs = HStreams(backend="sim", trace=False)

@@ -284,3 +284,24 @@ class TestJitter:
             return hs.elapsed()
 
         assert run(0.5) > run(0.0)
+
+
+class TestCompletionHandles:
+    """A sim completion's engine event is made only for a host wait."""
+
+    def test_handle_made_on_demand(self, hs):
+        s = hs.stream_create(domain=1, ncores=61)
+        a = hs.buffer_create(nbytes=1024, domains=[1])
+        b = hs.buffer_create(nbytes=1024, domains=[1])
+        waited = hs.enqueue_xfer(s, a)
+        unwaited = hs.enqueue_xfer(s, b)
+        assert waited.handle is None and unwaited.handle is None
+        assert not waited.is_complete()
+        hs.event_wait([waited])  # creates the engine event, then fires it
+        assert waited.handle is not None and waited.is_complete()
+        hs.thread_synchronize()
+        # Completed with nobody waiting: the shared fired handle, which
+        # a later wait accepts at once.
+        assert unwaited.is_complete()
+        assert unwaited.handle is not None and unwaited.handle.triggered
+        hs.event_wait([unwaited, waited])

@@ -431,6 +431,51 @@ class TestInvariantViolation:
         finally:
             hs.fini()
 
+    def test_check_invariants_reports_completed_entry_left_in_window(self):
+        # A scheduler-owned window's scans never probe completion: the
+        # scheduler retires each entry in the lock hold that fires its
+        # completion. A fired completion whose entry is still live
+        # breaks that, and the deep check must say so.
+        hs = HStreams(platform=make_platform("HSW", 1), backend="sim",
+                      trace=False)
+        try:
+            hs.register_kernel("k", cost_fn=lambda *a: dgemm(64, 64, 64))
+            s = hs.stream_create(domain=1, ncores=4)
+            buf = hs.buffer_create(nbytes=64)
+            ev = hs.enqueue_compute(s, "k", args=(buf.all_inout(),))
+            assert s.window.eager
+            with hs.scheduler._lock:
+                hs.backend.signal_completion(ev, 0.0)
+            problems = hs.scheduler.check_invariants()
+            assert len(problems) == 1
+            assert "completed but is still live" in problems[0]
+            # Un-fire it (a sim completion with no waiter has no engine
+            # event) so the drain can complete the action for real.
+            ev.handle = None
+            assert hs.scheduler.check_invariants() == []
+            hs.thread_synchronize()
+        finally:
+            hs.fini()
+
+    def test_completed_entry_left_in_window_reported_at_next_transition(self):
+        hs = HStreams(platform=make_platform("HSW", 1), backend="sim",
+                      trace=False, sanitize="record")
+        try:
+            hs.register_kernel("k", cost_fn=lambda *a: dgemm(64, 64, 64))
+            s = hs.stream_create(domain=1, ncores=4)
+            buf = hs.buffer_create(nbytes=64)
+            other = hs.buffer_create(nbytes=64)
+            ev = hs.enqueue_compute(s, "k", args=(buf.all_inout(),))
+            assert hs.sanitizer.findings() == []
+            with hs.scheduler._lock:
+                hs.backend.signal_completion(ev, 0.0)
+            hs.enqueue_compute(s, "k", args=(other.all_inout(),))
+            assert "invariant-violation" in rules_of(hs.sanitizer)
+            ev.handle = None
+            hs.thread_synchronize()
+        finally:
+            hs.fini()
+
 
 class TestSanitizedRuntimeEndToEnd:
     @pytest.mark.parametrize("backend", ["thread", "sim"])
