@@ -128,30 +128,19 @@ class PerfRow:
     backend: str
 
 
-class _NeverDone:
-    """Completion stand-in for held-open window entries."""
-
-    __slots__ = ()
-
-    def is_complete(self) -> bool:
-        return False
-
-
 def _window_action(operands: Sequence[Operand], barrier: bool = False) -> Action:
-    action = Action(
+    return Action(
         kind=ActionKind.SYNC if barrier else ActionKind.COMPUTE,
         stream=None,
         operands=tuple(operands),
         barrier=barrier,
     )
-    action.completion = _NeverDone()
-    return action
 
 
 def _fill_window(
     window: StreamWindow, depth: int, workload: str
 ) -> Tuple[List[Buffer], Action]:
-    """Populate ``window`` with ``depth`` incomplete writers; return the
+    """Populate ``window`` with ``depth`` unretired writers; return the
     buffers and a probe action conflicting with a bounded subset."""
     space = ProxyAddressSpace()
     if workload == "disjoint":

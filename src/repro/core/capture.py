@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.backend import Backend
-from repro.core.dependences import HistoryWindow
+from repro.core.dependences import StreamWindow
 from repro.core.errors import HStreamsInvalid
 from repro.core.scheduler import SchedulerObserver
 from repro.core.sites import user_site as _user_site
@@ -61,17 +61,27 @@ __all__ = [
 def policy_dep_seqs(shadows: dict, action: "Action") -> Tuple[int, ...]:
     """Intra-stream policy deps of ``action`` over full stream history.
 
-    ``shadows`` maps stream id to the
-    :class:`~repro.core.dependences.HistoryWindow` this call maintains —
-    the stream's own policy and scan over a window that never retires;
-    the action is added after its deps are computed.
+    ``shadows`` maps stream id to a
+    :class:`~repro.core.dependences.StreamWindow` this call maintains
+    and never retires; the action is added after its deps are computed.
+
+    The scheduler's window holds only in-flight work, since completed
+    predecessors impose no *execution* constraint. The capture
+    recorders (hsan traces, graph templates) ask about ordering across
+    **all** schedules, where "it happened to be complete at enqueue
+    time" is timing, not a guarantee (and under capture everything
+    completes instantly, so the real window is always empty). Running
+    the stream's own policy over a window that never retires yields the
+    intra-stream edges of the schedule in which every predecessor is
+    still live: the same scan, hence the same reduced edge set, whose
+    closure is the full conflict order.
     """
     stream = action.stream
     if stream is None:
         return ()
     shadow = shadows.get(stream.id)
     if shadow is None:
-        shadow = shadows[stream.id] = HistoryWindow(policy=stream.window.policy)
+        shadow = shadows[stream.id] = StreamWindow(policy=stream.window.policy)
     deps = shadow.deps_for(action)
     shadow.add(action)
     return tuple(d.seq for d in deps)

@@ -30,14 +30,13 @@ cut-off, applied to data. The enqueue cost is O(last writers + readers
 since), not O(conflicting predecessors), and the scheduler wires,
 resolves and later decrements only those edges.
 
-The scheduler retires an entry in the same lock hold that fires its
-completion (O(1) per completion), so a scheduler-owned window never
-holds a completed entry: :meth:`StreamWindow.retire_eagerly` switches
-its scans to a never-completed probe, and they never poll a completion
-event. Lazy retirement is for standalone windows only (unit tests, the
-perf harness): their scans drop completed entries as they meet them.
-:class:`HistoryWindow` is the never-retiring variant the capture
-recorders run the same scan over.
+A window holds exactly the entries its owner has not retired, and no
+scan ever looks at a completion event. The scheduler retires an entry
+in the same lock hold that fires its completion (O(1) per completion),
+so its windows hold only incomplete work — completed predecessors
+impose no dependence (paper §II). A window nobody retires (the capture
+recorders' full-history view, the perf harness) scans as if nothing
+had completed.
 
 The window also counts its work — :attr:`StreamWindow.scan_candidates`
 (predecessors examined) and :attr:`StreamWindow.scan_comparisons`
@@ -54,7 +53,6 @@ from repro.core.sync import caller_locked, guarded_by
 
 __all__ = [
     "DependencePolicy",
-    "HistoryWindow",
     "RelaxedPolicy",
     "StrictFifoPolicy",
     "StreamWindow",
@@ -64,18 +62,6 @@ __all__ = [
 #: enqueue order. An action sits in a buffer's lane once, however many
 #: of its footprint entries on that buffer share the lane's mode.
 _Lane = Dict[int, Dict[int, Action]]
-
-
-def _completion_fired(action: Action) -> bool:
-    """The lazy probe of a standalone window: has the entry completed?"""
-    completion = action.completion
-    return completion is not None and completion.is_complete()
-
-
-def _never_completed(action: Action) -> bool:
-    """The probe of a window whose entries are retired as they complete
-    (scheduler-owned) or never (history): no live entry has completed."""
-    return False
 
 
 class DependencePolicy:
@@ -126,15 +112,13 @@ class StreamWindow:
     and read — two lanes, so a reading probe never examines other
     readers; ``_barriers`` is the dedicated barrier lane (barriers
     conflict with everything, so they never belong in a per-buffer
-    bucket). ``_live`` keeps the full in-flight set in enqueue order for
+    bucket). ``_live`` keeps the full unretired set in enqueue order for
     the strict policy, barrier enqueues, and ``pending_completions``.
 
-    The scheduler calls :meth:`retire` in the lock hold that fires each
-    completion and marks its windows :meth:`retire_eagerly`, so their
-    scans never probe completion; standalone, completed entries are
-    dropped lazily as scans encounter them. :attr:`in_flight` is the
-    live set's size either way — it observes a completion at retirement
-    or at the next scan that touches the entry, never by polling every
+    Every entry stays live until its owner calls :meth:`retire`; the
+    scheduler does so in the lock hold that fires each completion
+    (``Scheduler._check_invariants_locked`` reports an entry that
+    outlives its completion). The window itself never polls a
     completion event.
 
     Locking: under a scheduler, every mutation happens inside the
@@ -145,15 +129,12 @@ class StreamWindow:
     """
 
     __slots__ = (
-        "strict_fifo",
         "policy",
         "_lock",
         "_live",
         "_writers",
         "_readers",
         "_barriers",
-        "_completed",
-        "eager",
         "retired_count",
         "scan_candidates",
         "scan_comparisons",
@@ -164,7 +145,6 @@ class StreamWindow:
         strict_fifo: bool = False,
         policy: Optional[DependencePolicy] = None,
     ):
-        self.strict_fifo = strict_fifo
         #: The owning scheduler's lock (wired by Scheduler.on_stream_create
         #: under rtsan); None for standalone/single-threaded windows.
         self._lock = None
@@ -179,12 +159,6 @@ class StreamWindow:
         self._readers: _Lane = {}
         #: Barrier lane: {seq: barrier action}, enqueue order.
         self._barriers: Dict[int, Action] = {}
-        #: Completion probe the scans and ``newest_live`` apply to an
-        #: entry: lazy (poll its event) until :meth:`retire_eagerly`.
-        self._completed = _completion_fired
-        #: Whether every entry is retired in the lock hold that fires its
-        #: completion (see :meth:`retire_eagerly`).
-        self.eager = False
         self.retired_count = 0
         #: Predecessors examined by dependence scans (deterministic).
         self.scan_candidates = 0
@@ -192,18 +166,6 @@ class StreamWindow:
         self.scan_comparisons = 0
 
     # -- maintenance ---------------------------------------------------------
-
-    def retire_eagerly(self) -> None:
-        """Declare that the owner retires every entry in the same lock
-        hold that fires its completion.
-
-        The scheduler's contract (``Scheduler._finish_node`` signals,
-        then retires, under its lock): no scan can then meet a completed
-        entry, so the scans stop probing completion events. The
-        scheduler's invariant check reports an entry that breaks it.
-        """
-        self._completed = _never_completed
-        self.eager = True
 
     @caller_locked("_lock")
     def add(self, action: Action) -> None:
@@ -243,47 +205,18 @@ class StreamWindow:
                     del lane[uid]
 
     @caller_locked("_lock")
-    def _retire_all(self, dead: Optional[List[Action]]) -> None:
-        """Retire the completed entries a scan set aside (scans never
-        mutate the lane they are iterating)."""
-        if dead is not None:
-            for action in dead:
-                self.retire(action)
-
-    @caller_locked("_lock")
     def newest_live(self) -> Optional[Action]:
-        """The newest in-flight action, or None — O(1).
-
-        Completed tail entries nobody retired (standalone use, without
-        a scheduler) are dropped on the way.
-        """
+        """The newest unretired action, or None — O(1)."""
         live = self._live
-        while live:
-            action = live[next(reversed(live))]
-            if not self._completed(action):
-                return action
-            self.retire(action)
-        return None
+        return live[next(reversed(live))] if live else None
 
     # -- the conflict-indexed scan -------------------------------------------
 
     @caller_locked("_lock")
     def _newest_live_barrier(self) -> Optional[Action]:
-        """The newest incomplete barrier, lazily dropping completed ones."""
-        if not self._barriers:
-            return None
-        dead: Optional[List[Action]] = None
-        found: Optional[Action] = None
-        for barrier in reversed(self._barriers.values()):
-            if self._completed(barrier):
-                if dead is None:
-                    dead = []
-                dead.append(barrier)
-                continue
-            found = barrier
-            break
-        self._retire_all(dead)
-        return found
+        """The newest unretired barrier, or None — O(1)."""
+        barriers = self._barriers
+        return barriers[next(reversed(barriers))] if barriers else None
 
     @caller_locked("_lock")
     def conflict_scan(self, action: Action) -> List[Action]:
@@ -310,28 +243,19 @@ class StreamWindow:
             # A barrier orders after everything live since the previous
             # barrier: its dependence set is inherently O(window).
             deps: List[Action] = []
-            dead: Optional[List[Action]] = None
             for prev in reversed(self._live.values()):
-                if self._completed(prev):
-                    if dead is None:
-                        dead = []
-                    dead.append(prev)
-                    continue
                 self.scan_candidates += 1
                 self.scan_comparisons += 1
                 deps.append(prev)
                 if prev.barrier:
                     break
-            self._retire_all(dead)
             deps.reverse()
             return deps
 
         barrier = self._newest_live_barrier()
         barrier_seq = barrier.seq if barrier is not None else -1
         found: Dict[int, Action] = {}
-        dead = None
         candidates = comparisons = 0
-        completed = self._completed
         for uid, start, end, writes in action.footprint:
             writers = self._writers.get(uid, ())
             w_iter = reversed(writers)
@@ -361,11 +285,6 @@ class StreamWindow:
                         continue
                     prev = readers[seq]
                 candidates += 1
-                if completed(prev):
-                    if dead is None:
-                        dead = []
-                    dead.append(prev)
-                    continue
                 for p_uid, p_start, p_end, p_writes in prev.footprint:
                     if p_uid != uid or p_writes != from_writers:
                         continue
@@ -389,7 +308,6 @@ class StreamWindow:
                                 break
                 if not uncovered:
                     break  # every older conflict is behind a kept writer
-        self._retire_all(dead)
         self.scan_candidates += candidates
         self.scan_comparisons += comparisons
         if barrier is not None:
@@ -414,29 +332,20 @@ class StreamWindow:
     @property
     @caller_locked("_lock")
     def in_flight(self) -> int:
-        """Number of tracked, unretired actions (O(1)).
-
-        Under a scheduler this is exact — every completion retires its
-        entry. Standalone, a completed-but-unretired entry counts until
-        the next scan (or an explicit :meth:`retire`) observes it.
-        """
+        """Number of unretired actions (O(1)); under a scheduler, the
+        stream's in-flight work."""
         return len(self._live)
 
     @caller_locked("_lock")
     def pending_completions(self) -> List:
-        """Completion events of the still-incomplete actions.
+        """Completion events of the unretired actions, in enqueue order.
 
-        Non-mutating: completed entries are merely filtered, never
-        dropped — retirement stays the scheduler's (or the lazy scans')
-        job. Under a scheduler, call through
+        Under a scheduler these are exactly the stream's incomplete
+        actions; call through
         :meth:`~repro.core.scheduler.Scheduler.pending_completions`,
         which snapshots under the lock.
         """
-        return [
-            a.completion
-            for a in self._live.values()
-            if a.completion is not None and not a.completion.is_complete()
-        ]
+        return [a.completion for a in self._live.values()]
 
     # -- deep checks (rtsan) --------------------------------------------------
 
@@ -449,21 +358,10 @@ class StreamWindow:
         live conflict iff each live non-barrier action sits in the
         writer lane of exactly the buffers it writes and the reader lane
         of exactly the buffers it reads, every lane entry is live, and
-        the barrier lane is exactly the live barriers. Under a scheduler
-        (eager retirement) the equalities are strict, and no live entry
-        may have completed: the scans of an eager window never probe
-        completion, so such an entry would order new work after an
-        action that already finished. Returns human-readable problems;
-        empty means consistent.
+        the barrier lane is exactly the live barriers. Returns
+        human-readable problems; empty means consistent.
         """
         problems: List[str] = []
-        if self.eager:
-            for action in self._live.values():
-                if _completion_fired(action):
-                    problems.append(
-                        f"{label}: {action.display!r} completed but is "
-                        "still live in an eagerly retired window"
-                    )
         live_barriers = {s for s, a in self._live.items() if a.barrier}
         if set(self._barriers) != live_barriers:
             problems.append(
@@ -492,28 +390,3 @@ class StreamWindow:
                     )
         return problems
 
-
-class HistoryWindow(StreamWindow):
-    """A stream's whole enqueue history, scanned as if nothing completed.
-
-    The scheduler's window only holds in-flight work — completed
-    predecessors impose no *execution* constraint. The capture
-    recorders (hsan traces, graph templates) ask about ordering across
-    **all** schedules, where "it happened to be complete at enqueue
-    time" is timing, not a guarantee (and under capture everything
-    completes instantly, so the real window is always empty). Running
-    the stream's own policy over a window that never retires yields the
-    intra-stream edges of the schedule in which every predecessor is
-    still live: the same scan, hence the same reduced edge set, whose
-    closure is the full conflict order.
-    """
-
-    __slots__ = ()
-
-    def __init__(
-        self,
-        strict_fifo: bool = False,
-        policy: Optional[DependencePolicy] = None,
-    ):
-        super().__init__(strict_fifo, policy)
-        self._completed = _never_completed

@@ -454,17 +454,11 @@ class HStreams:
                 base = place * width
                 mask = tuple(range(base, base + width))
                 for _ in range(oversubscription):
-                    stream = Stream(
-                        self._next_stream_id,
-                        dom.index,
-                        mask,
-                        strict_fifo=strict_fifo,
+                    created.append(
+                        self.stream_create(
+                            dom.index, cpu_mask=mask, strict_fifo=strict_fifo
+                        )
                     )
-                    self._next_stream_id += 1
-                    self.streams.append(stream)
-                    self.backend.make_stream(stream)
-                    self.scheduler.on_stream_create(stream)
-                    created.append(stream)
         return created
 
     def streams_in(self, domain: int) -> List[Stream]:

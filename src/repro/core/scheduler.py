@@ -416,10 +416,6 @@ class Scheduler:
         """Start tracking scheduling metrics for a new stream."""
         with self._lock:
             self._streams[stream.id] = StreamStats(stream)
-            # _finish_node retires each entry in the lock hold that
-            # fires its completion, so the window's scans need not
-            # probe completion (checked by _check_invariants_locked).
-            stream.window.retire_eagerly()
             if self._sanitizer is not None:
                 # The window's live set and conflict index are mutated
                 # only under this lock; wire the guard and instrument.
@@ -436,21 +432,13 @@ class Scheduler:
         :class:`StreamStats` are kept, flagged ``destroyed``.
         """
         with self._lock:
-            stats = self._stream_stats(stream)
+            stats = self._streams[stream.id]
             stats.destroyed = True
             self.runtime.tracer.counter(
                 f"sched:{stream.lane}", self.runtime.backend.now(), stats.depth
             )
             for obs in self.observers:
                 obs.on_stream_destroy(stream)
-
-    @caller_locked("_lock")
-    def _stream_stats(self, stream: "Stream") -> StreamStats:
-        stats = self._streams.get(stream.id)
-        if stats is None:  # streams made outside stream_create (tests)
-            stats = StreamStats(stream)
-            self._streams[stream.id] = stats
-        return stats
 
     # -- admission ------------------------------------------------------------
 
@@ -542,7 +530,7 @@ class Scheduler:
                 node = graph_add(action, now, deps)
                 action.completion = HEvent(backend, make_handle(), action)
                 stream.window.add(action)
-                stats = streams.get(stream.id) or self._stream_stats(stream)
+                stats = streams[stream.id]
                 stats.dep_edges += node.waiting
                 depth = stats.depth + 1
                 stats.depth = depth
@@ -762,7 +750,7 @@ class Scheduler:
                     )
                     stream = action.stream
                     assert stream is not None
-                    stats = self._stream_stats(stream)
+                    stats = self._streams[stream.id]
                     stats.retried += 1
                     self._totals["retried"] += 1
                     tracer = self.runtime.tracer
@@ -826,7 +814,7 @@ class Scheduler:
             self._records.append(record)
         stream = action.stream
         assert stream is not None
-        stats = self._streams.get(stream.id) or self._stream_stats(stream)
+        stats = self._streams[stream.id]
         state = node.state
         self._fold(stats, state, record)
         for obs in self.observers:
@@ -1082,8 +1070,10 @@ class Scheduler:
         ``waiting`` matches a recount over the producers' dependent
         lists), lifecycle time order (``t_enqueue <= t_ready <=
         t_start`` over the times a live node has set), per-stream depth
-        vs the live nodes of that stream, and each stream window's
-        conflict index vs a from-scratch rebuild
+        vs the live nodes of that stream, no stream window entry whose
+        completion has fired (the scheduler retires each entry as it
+        completes), and each stream window's conflict index vs a
+        from-scratch rebuild
         (:meth:`~repro.core.dependences.StreamWindow.check_index` — the
         lanes hold exactly the live conflicts the scan must see).
         Returns human-readable problems; empty means consistent. Under
@@ -1151,17 +1141,23 @@ class Scheduler:
                     f"waiting={node.waiting}"
                 )
         for stats in self._streams.values():
+            label = f"stream {stats.stream.name!r}"
             live_here = per_stream.get(stats.stream.id, 0)
             if stats.depth != live_here:
                 problems.append(
-                    f"stream {stats.stream.name!r} depth={stats.depth} "
-                    f"but {live_here} live node(s)"
+                    f"{label} depth={stats.depth} but {live_here} live node(s)"
                 )
-            problems.extend(
-                stats.stream.window.check_index(
-                    f"stream {stats.stream.name!r}"
-                )
-            )
+            window = stats.stream.window
+            # _finish_node retires each entry in the lock hold that
+            # fires its completion; the window's scans rely on that and
+            # never look at a completion themselves.
+            for completion in window.pending_completions():
+                if completion.is_complete():
+                    problems.append(
+                        f"{label}: {completion.action.display!r} completed "
+                        "but is still live in the stream window"
+                    )
+            problems.extend(window.check_index(label))
         per_ns: Dict[str, int] = {}
         for node in nodes:
             stream = node.action.stream

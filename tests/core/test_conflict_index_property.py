@@ -14,9 +14,11 @@ barriers, and interleaved completions:
 Three layers of evidence:
 
 * window-level Hypothesis fuzz over random action/operand/barrier/
-  completion sequences, both policies on shared actions, completions
-  drawn only from actions whose producers finished (the only order a
-  scheduler produces);
+  completion sequences, both policies on shared actions, each
+  completion retiring the action from both windows and drawn only from
+  actions whose producers finished (the only order a scheduler
+  produces), with the live count and both conflict indexes checked
+  after every step;
 * backend-level property test — the same random program enqueued twice
   (indexed vs oracle policy) on the thread *and* sim backends, comparing
   the scheduler-observed dependence sets (completions are held off
@@ -43,18 +45,6 @@ from tests.oracle import NaiveRelaxedPolicy, assert_reduction, completable
 
 N_BUFFERS = 4
 BUF_BYTES = 64
-
-
-class _Flag:
-    """Toggleable completion stand-in shared by both windows."""
-
-    __slots__ = ("done",)
-
-    def __init__(self):
-        self.done = False
-
-    def is_complete(self):
-        return self.done
 
 
 @st.composite
@@ -101,8 +91,10 @@ class TestIndexedScanEqualsNaiveScan:
                 if live:
                     ready = completable(live, edges)
                     done = ready[step[1] % len(ready)]
-                    actions[done].completion.done = True
+                    indexed.retire(actions[done])
+                    naive.retire(actions[done])
                     live.remove(done)
+                self._check_windows(indexed, naive, live)
                 continue
             _, operand_specs, barrier = step
             action = Action(
@@ -114,7 +106,6 @@ class TestIndexedScanEqualsNaiveScan:
                 ),
                 barrier=barrier,
             )
-            action.completion = _Flag()
             reduced = [index_of[a.seq] for a in indexed.deps_for(action)]
             full = [index_of[a.seq] for a in naive.deps_for(action)]
             assert reduced == sorted(reduced)  # enqueue order
@@ -125,12 +116,20 @@ class TestIndexedScanEqualsNaiveScan:
             index_of[action.seq] = me
             actions.append(action)
             live.append(me)
-        # Drain: with everything complete, both converge to empty.
-        for action in actions:
-            action.completion.done = True
+            self._check_windows(indexed, naive, live)
+        # Drain: with everything retired, both converge to empty.
+        for me in live:
+            indexed.retire(actions[me])
+            naive.retire(actions[me])
         probe = Action(kind=ActionKind.SYNC, stream=None, barrier=True)
         assert indexed.deps_for(probe) == naive.deps_for(probe) == []
-        assert indexed.in_flight == 0
+        self._check_windows(indexed, naive, [])
+
+    @staticmethod
+    def _check_windows(indexed, naive, live):
+        assert indexed.in_flight == len(live)
+        assert indexed.check_index() == []
+        assert naive.check_index() == []
 
 
 class _DepRecorder(SchedulerObserver):

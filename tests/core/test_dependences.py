@@ -72,7 +72,7 @@ class TestDependenceRelaxation:
         w = StreamWindow()
         a = make_action([wr(buf, 0, 100)])
         w.add(a)
-        a.completion.complete()
+        w.retire(a)
         b = make_action([rd(buf, 0, 100)])
         assert w.deps_for(b) == []
 
@@ -169,7 +169,7 @@ class TestStrictFifo:
         w = StreamWindow(strict_fifo=True)
         a = make_action([wr(buf, 0, 8)])
         w.add(a)
-        a.completion.complete()
+        w.retire(a)
         b = make_action([wr(buf, 8, 8)])
         assert w.deps_for(b) == []
 
@@ -247,18 +247,6 @@ class TestRetirementEdges:
         probe = make_action([rd(buf, 0, 8)])
         assert w.deps_for(probe) == []
 
-    def test_lazy_drop_and_explicit_retire_count_once(self, buf):
-        w = StreamWindow()
-        a = make_action([wr(buf, 0, 8)])
-        w.add(a)
-        a.completion.complete()
-        # The lazy scan drops the completed entry...
-        assert w.deps_for(make_action([rd(buf, 0, 8)])) == []
-        assert w.retired_count == 1
-        # ...and a late scheduler retire must not double-count.
-        w.retire(a)
-        assert w.retired_count == 1
-
 
 class TestWindowBookkeeping:
     def test_in_flight_is_an_o1_counter(self, buf):
@@ -273,46 +261,11 @@ class TestWindowBookkeeping:
         w.retire(b)
         assert w.in_flight == 0
 
-    def test_in_flight_observes_completion_at_next_scan(self, buf):
-        # Standalone (no scheduler retiring), a completion is observed
-        # lazily: the counter updates when a scan drops the entry, not
-        # the instant the event fires.
-        w = StreamWindow()
-        a = make_action([wr(buf, 0, 8)])
-        w.add(a)
-        a.completion.complete()
-        assert w.in_flight == 1  # not yet observed
-        assert w.deps_for(make_action([rd(buf, 0, 8)])) == []
-        assert w.in_flight == 0  # the scan dropped it
-        assert w.retired_count == 1
-
-    def test_eager_window_never_probes_completion(self, buf):
-        # A window its owner retires eagerly (the scheduler's) treats
-        # every live entry as incomplete: the scans neither poll the
-        # completion event nor drop the entry.
-        w = StreamWindow()
-        assert not w.eager
-        w.retire_eagerly()
-        assert w.eager
-        a = make_action([wr(buf, 0, 8)])
-        w.add(a)
-        a.completion.complete()
-        assert w.deps_for(make_action([rd(buf, 0, 8)])) == [a]
-        assert w.newest_live() is a
-        assert w.in_flight == 1 and w.retired_count == 0
-        assert w.check_index() == [
-            f"window: {a.display!r} completed but is still live in an "
-            "eagerly retired window"
-        ]
-        w.retire(a)
-        assert w.check_index() == []
-
     def test_enqueued_count_never_decreases(self, buf):
         w = StreamWindow()
         for i in range(5):
             a = make_action([wr(buf, i * 8, 8)])
             w.add(a)
-            a.completion.complete()
             w.retire(a)
         assert w.enqueued_count == 5
         assert w.in_flight == 0
@@ -323,22 +276,23 @@ class TestWindowBookkeeping:
         b = make_action([wr(buf, 8, 8)])
         w.add(a)
         w.add(b)
-        a.completion.complete()
+        w.retire(a)
         pend: List = w.pending_completions()
         assert pend == [b.completion]
 
     def test_pending_completions_is_non_mutating(self, buf):
+        # The window never looks at a completion: an entry whose event
+        # fired stays live, and reported, until its owner retires it.
         w = StreamWindow()
         a = make_action([wr(buf, 0, 8)])
         b = make_action([wr(buf, 8, 8)])
         w.add(a)
         w.add(b)
         a.completion.complete()
-        assert w.pending_completions() == [b.completion]
-        # The completed entry was filtered, not retired.
+        assert w.pending_completions() == [a.completion, b.completion]
         assert w.in_flight == 2
         assert w.retired_count == 0
-        assert w.pending_completions() == [b.completion]
+        assert w.pending_completions() == [a.completion, b.completion]
 
 
 class TestConflictIndex:
@@ -397,20 +351,6 @@ class TestConflictIndex:
         w.retire(bar)
         assert not w._barriers
 
-    def test_completed_barrier_dropped_lazily_by_scan(self, buf):
-        w = StreamWindow()
-        old = make_action([wr(buf, 0, 8)])
-        bar = make_action([], barrier=True)
-        w.add(old)
-        w.add(bar)
-        bar.completion.complete()
-        probe = make_action([rd(buf, 0, 8)])
-        # The dead barrier is skipped and dropped; the live conflicting
-        # predecessor behind it is found directly.
-        assert w.deps_for(probe) == [old]
-        assert not w._barriers
-        assert w.in_flight == 1
-
     def test_footprint_cached_once(self, buf):
         a = make_action([wr(buf, 0, 8), rd(buf, 16, 8)])
         assert a.footprint == (
@@ -428,11 +368,10 @@ class TestDependencePropertyFuzz:
     conflicting predecessors (cut at the newest conflicting barrier)
     from which all the others are reachable through recorded edges."""
 
-    def _oracle(self, history, action):
+    def _oracle(self, history, live, action):
         deps = []
-        for prev in reversed(history):
-            if prev.completion.is_complete():
-                continue
+        for i in reversed(live):
+            prev = history[i]
             if prev.conflicts_with(action):
                 deps.append(prev)
                 if prev.barrier:
@@ -458,7 +397,8 @@ class TestDependencePropertyFuzz:
                 assert_reduction(
                     key,
                     [history.index(d) for d in reduced],
-                    [history.index(d) for d in self._oracle(history, action)],
+                    [history.index(d)
+                     for d in self._oracle(history, live, action)],
                     edges,
                     set(live),
                 )
@@ -477,7 +417,7 @@ class TestDependencePropertyFuzz:
                     # a scheduler: only an action with no live producer.
                     ready = completable(live, edges)
                     done = ready[int(rng.integers(0, len(ready)))]
-                    history[done].completion.complete()
+                    w.retire(history[done])
                     live.remove(done)
                 probe_off = int(rng.integers(0, 3500))
                 probe = make_action(
@@ -566,17 +506,17 @@ class TestCoveringWriterCutoff:
         assert w.deps_for(make_action([rd(buf, 50, 50)])) == [old, new]
         assert w.deps_for(make_action([rd(buf, 60, 40)])) == [old]
 
-    def test_completed_unretired_writer_covers_nothing(self, buf):
+    def test_retired_writer_covers_nothing(self, buf):
         w = StreamWindow()
         old = make_action([wr(buf, 0, 100)])
         new = make_action([wr(buf, 0, 100)])
         w.add(old)
         w.add(new)
-        # Out of dependence order on purpose: `new` is done, `old` is
-        # not. A dead writer orders nothing, so `old` must be found.
-        new.completion.complete()
+        # Out of dependence order on purpose: `new` is retired, `old` is
+        # not. A retired writer orders nothing, so `old` must be found.
+        w.retire(new)
         assert w.deps_for(make_action([rd(buf, 0, 100)])) == [old]
-        assert w.in_flight == 1  # and the scan dropped the dead entry
+        assert w.in_flight == 1
 
     def test_reader_never_examines_other_readers(self, buf):
         w = StreamWindow()
@@ -640,7 +580,7 @@ class TestStrictFifoNewestLive:
             actions.append(a)
         return w, actions
 
-    def test_enqueue_at_depth_polls_one_entry_and_copies_nothing(self, buf):
+    def test_enqueue_at_depth_polls_nothing_and_copies_nothing(self, buf):
         import tracemalloc
 
         w, actions = self._deep_window(buf)
@@ -655,16 +595,6 @@ class TestStrictFifoNewestLive:
         finally:
             tracemalloc.stop()
         assert deps == [actions[-1]]
-        assert CountingEvent.polls == 1
+        assert CountingEvent.polls == 0
         # A copy of the 5000-entry live set is ~40 KB of pointers.
         assert peak < 2048
-
-    def test_completed_tail_is_dropped_lazily(self, buf):
-        w, actions = self._deep_window(buf)
-        for a in actions[-10:]:
-            a.completion.complete()
-        CountingEvent.polls = 0
-        assert w.deps_for(make_action([wr(buf, 0, 8)])) == [actions[-11]]
-        assert CountingEvent.polls == 11
-        assert w.in_flight == self.DEPTH - 10
-        assert w.retired_count == 10

@@ -344,7 +344,7 @@ class TestBusyDestroy:
 
 
 class TestStreamDestroyObservability:
-    def test_destroyed_stream_stats_survive_in_metrics(self):
+    def test_destroyed_streams_keep_their_stats_in_metrics(self):
         hs = HStreams(platform=make_platform("HSW", 1), backend="sim", trace=False)
         hs.register_kernel("gemm", cost_fn=lambda m, n, k, *a: dgemm(m, n, k))
         s = hs.stream_create(domain=1, ncores=61)

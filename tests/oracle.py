@@ -27,15 +27,14 @@ from repro.core.dependences import DependencePolicy, StreamWindow
 
 
 def naive_scan(window: StreamWindow, action: Action) -> List[Action]:
-    """Every live predecessor conflicting with ``action``, oldest first.
+    """Every unretired predecessor conflicting with ``action``, oldest
+    first.
 
-    Non-mutating (completed entries are filtered, not retired); counts
-    its work on the window's scan counters like the indexed scan does.
+    Non-mutating; counts its work on the window's scan counters like
+    the indexed scan does.
     """
     deps: List[Action] = []
     for prev in reversed(list(window._live.values())):
-        if window._completed(prev):
-            continue
         window.scan_candidates += 1
         window.scan_comparisons += max(
             1, len(prev.footprint) * len(action.footprint)
